@@ -13,10 +13,10 @@ full ~4,100-market catalog — for both engine paths:
   engine level (every query still computes; nothing is memoized above
   the index).
 
-Results merge into ``BENCH_query.json`` at the repository root.
-Refresh the checked-in baseline with::
+Results merge into ``BENCH_query.json`` at the repository root when
+refreshed (see ``harness.py``)::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_query_cold.py -q
+    REPRO_UPDATE_BENCH=1 PYTHONPATH=src python -m pytest benchmarks/test_query_cold.py -q
 
 The acceptance floor: the vectorized cold ranking must beat the scalar
 reference by at least ``MIN_RANKING_SPEEDUP`` on the full catalog.
@@ -24,9 +24,9 @@ reference by at least ``MIN_RANKING_SPEEDUP`` on the full catalog.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
+
+from harness import REPO_ROOT, record_result
 
 from repro.core.database import ProbeDatabase
 from repro.core.market_id import MarketID
@@ -40,7 +40,7 @@ from repro.core.records import (
 )
 from repro.ec2.catalog import default_catalog
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_query.json"
+BENCH_PATH = REPO_ROOT / "BENCH_query.json"
 
 SAMPLES_PER_MARKET = 36
 MIN_RANKING_SPEEDUP = 5.0
@@ -111,17 +111,6 @@ def _best_of(rounds: int, run) -> tuple[float, object]:
     return best, result
 
 
-def _record_result(name: str, entry: dict) -> None:
-    results: dict[str, object] = {}
-    if BENCH_PATH.exists():
-        try:
-            results = json.loads(BENCH_PATH.read_text())
-        except (OSError, json.JSONDecodeError):
-            results = {}
-    results[name] = entry
-    BENCH_PATH.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-
-
 def test_cold_query_speedups():
     db, markets = build_full_catalog_database()
     catalog = default_catalog()
@@ -180,7 +169,7 @@ def test_cold_query_speedups():
             "speedup_warm": round(scalar_sweep_s / warm_sweep_s, 1),
         },
     }
-    _record_result("query_cold", entry)
+    record_result(BENCH_PATH, "query_cold", entry)
     print(
         f"\ncold ranking over {len(markets)} markets: reference {scalar_s:.3f}s,"
         f" vectorized cold {cold_s:.3f}s ({ranking_speedup:.1f}x),"

@@ -4,9 +4,9 @@ Drives a :class:`~repro.server.SpotLightServer` with many concurrent
 blocking clients over a mixed query workload (every query family the
 frontend serves, across a multi-market probe database), then records
 throughput and latency quantiles into ``BENCH_server.json`` at the
-repository root.  Refresh the checked-in baseline with::
+repository root when refreshed (see ``harness.py``)::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_server_load.py -q
+    REPRO_UPDATE_BENCH=1 PYTHONPATH=src python -m pytest benchmarks/test_server_load.py -q
 
 Two phases are measured:
 
@@ -20,13 +20,13 @@ Two phases are measured:
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import queue as pyqueue
 import threading
 import time
-from pathlib import Path
+
+from harness import REPO_ROOT, record_result
 
 from repro.client import SpotLightClient
 from repro.core.database import ProbeDatabase
@@ -47,7 +47,7 @@ from repro.router import SpotLightRouter
 from repro.server import BackgroundServer
 from repro.server_pool import ShardCluster, WorkerPool
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
+BENCH_PATH = REPO_ROOT / "BENCH_server.json"
 
 WORKERS = 8
 ROUNDS_PER_WORKER = 40
@@ -217,17 +217,6 @@ def _drive(
     )
 
 
-def _record_result(name: str, entry: dict) -> None:
-    results: dict[str, object] = {}
-    if BENCH_PATH.exists():
-        try:
-            results = json.loads(BENCH_PATH.read_text())
-        except (OSError, json.JSONDecodeError):
-            results = {}
-    results[name] = entry
-    BENCH_PATH.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-
-
 def test_server_sustains_load():
     frontend = QueryFrontend(
         SpotLightQuery(build_database(), default_catalog()),
@@ -276,7 +265,7 @@ def test_server_sustains_load():
             "wire_misses": stats["frontend"]["wire_misses"],
         },
     }
-    _record_result("server_load", entry)
+    record_result(BENCH_PATH, "server_load", entry)
     print(
         f"\nserver load: {warm_requests} cached requests from {WORKERS} "
         f"clients in {warm_wall:.2f}s = {throughput:.0f} req/s "
@@ -369,7 +358,7 @@ def test_batch_throughput():
         "round_trips": BATCH_DRIVERS * BATCH_ROUNDS,
         "batch_queries_counter": stats["batch_queries"],
     }
-    _record_result("server_load_batch", entry)
+    record_result(BENCH_PATH, "server_load_batch", entry)
     print(
         f"\nbatch: {queries} queries in {wall:.2f}s over "
         f"{entry['round_trips']} round trips = {throughput:.0f} queries/s"
@@ -431,7 +420,7 @@ def test_etag_polling_throughput():
         "not_modified": stats["not_modified"],
         "client_304s": sum(not_modified),
     }
-    _record_result("server_load_etag", entry)
+    record_result(BENCH_PATH, "server_load_etag", entry)
     print(
         f"\netag: {polls} conditional polls in {wall:.2f}s = "
         f"{throughput:.0f} req/s, {stats['not_modified']} answered 304"
@@ -565,7 +554,7 @@ def test_multi_worker_scaling(tmp_path):
         "multi_worker": measured[POOL_WORKERS],
         "cached_scaling_x": round(scaling, 2),
     }
-    _record_result("server_load_workers", entry)
+    record_result(BENCH_PATH, "server_load_workers", entry)
     print(
         f"\nmulti-worker: cached {single:.0f} req/s (1 worker) -> "
         f"{multi:.0f} req/s ({POOL_WORKERS} workers, {scaling:.2f}x) on "
@@ -710,7 +699,7 @@ def test_sharded_serving(tmp_path):
         },
         "router": dict(stats["shards"]),
     }
-    _record_result("server_load_sharded", entry)
+    record_result(BENCH_PATH, "server_load_sharded", entry)
     print(
         f"\nsharded: {SHARD_COUNT} shards "
         f"({'/'.join(str(e['markets']) for e in shard_primes)} of "

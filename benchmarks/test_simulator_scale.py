@@ -6,44 +6,38 @@ seconds of wall time, and the full ~4,100-market catalog must simulate
 a complete platform-day — the unit the paper's 3-month study is made
 of.
 
-Each benchmark records its wall time into ``BENCH_simulator.json`` at
-the repository root, so successive PRs accumulate a performance
-trajectory.  Refresh the checked-in baseline by running::
+Each benchmark can record its wall time into ``BENCH_simulator.json``
+at the repository root, so successive changes accumulate a performance
+trajectory.  Refresh the checked-in baseline (see ``harness.py``) by
+running::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_simulator_scale.py -q
+    REPRO_UPDATE_BENCH=1 PYTHONPATH=src python -m pytest benchmarks/test_simulator_scale.py -q
 
 and committing the updated JSON.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
+
+from harness import REPO_ROOT, record_result
 
 from repro import EC2Simulator, FleetConfig
 from repro.ec2.catalog import default_catalog, small_catalog
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+BENCH_PATH = REPO_ROOT / "BENCH_simulator.json"
 SIMULATED_DAY = 86400.0
 
 
 def _record_result(name: str, wall_seconds: float, **extra: object) -> None:
     """Merge one benchmark result into BENCH_simulator.json."""
-    results: dict[str, object] = {}
-    if BENCH_PATH.exists():
-        try:
-            results = json.loads(BENCH_PATH.read_text())
-        except (OSError, json.JSONDecodeError):
-            results = {}
     entry = {"wall_seconds": round(wall_seconds, 3), **extra}
     entry["simulated_seconds_per_wall_second"] = (
         round(float(extra["simulated_seconds"]) / wall_seconds)
         if wall_seconds > 0 and "simulated_seconds" in extra
         else None
     )
-    results[name] = entry
-    BENCH_PATH.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    record_result(BENCH_PATH, name, entry)
 
 
 def test_mid_fleet_day_throughput(benchmark):

@@ -74,11 +74,12 @@ class SpotLightQuery:
         self._catalog = catalog
         self._vectorized = vectorized and hasattr(database, "read_index")
         self._od_cache: dict[MarketID, float] = {}
-        # On-demand price vectors keyed by stack identity (stacks are
-        # immutable snapshots cached by the index, so identity is
-        # stable until a price insert); bounded, cleared wholesale when
-        # full.  Entries pin their stack, which keeps id() unambiguous.
-        self._od_vectors: dict[int, tuple[object, np.ndarray]] = {}
+        # On-demand price vectors keyed by the identity of a stack's
+        # markets tuple (the index keeps one tuple across the stacks it
+        # splices forward on price inserts, so a splice reuses the
+        # vector); bounded, cleared wholesale when full.  Entries pin
+        # their tuple, which keeps id() unambiguous.
+        self._od_vectors: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def rebind(self, database: ProbeDatabase) -> None:
         """Swap the underlying database and drop every read-through
@@ -364,13 +365,14 @@ class SpotLightQuery:
         return self._ref_top_stable_markets(n, bid_multiple, start, end, region)
 
     def _od_prices_for(self, stack) -> np.ndarray:
-        entry = self._od_vectors.get(id(stack))
-        if entry is not None and entry[0] is stack:
+        markets = stack.markets
+        entry = self._od_vectors.get(id(markets))
+        if entry is not None and entry[0] is markets:
             return entry[1]
-        prices = np.asarray([self.on_demand_price(m) for m in stack.markets])
+        prices = np.asarray([self.on_demand_price(m) for m in markets])
         if len(self._od_vectors) >= 8:
             self._od_vectors.clear()
-        self._od_vectors[id(stack)] = (stack, prices)
+        self._od_vectors[id(markets)] = (markets, prices)
         return prices
 
     def _vec_top_stable_markets(

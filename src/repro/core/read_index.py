@@ -19,12 +19,16 @@ everything the query engine scans:
   view the analysis readers tally over.
 
 Invalidation is **incremental and per market**: appending a probe drops
-only that ``(market, kind)``'s period entry (and marks the global probe
-columns stale); appending a price drops only that market's cached price
-snapshot (and marks the stack stale).  Views handed out are snapshot
-copies — safe to hold across later inserts — and a stale view is never
-served: every accessor revalidates against the database's write
-counters first.
+only that ``(market, kind)``'s period entry; appending a price drops
+only that market's cached price snapshot.  The catalog-wide views
+(price stack, region substacks, probe columns) record the appended
+markets instead, and their next read *splices* those markets' new tail
+rows in at the old segment ends (records are append-only per market)
+rather than re-concatenating the whole catalog; only a structural
+change — a market the view does not hold, a series shorter than its
+segment, :meth:`ReadIndex.reset` — rebuilds from scratch.  Views handed
+out are snapshot copies — a splice makes new arrays, so a view stays
+valid across later inserts — and a stale view is never served.
 
 The heavy ranking kernel (:func:`stability_metrics`) computes
 mean-time-to-revocation, availability-at-bid, and time-weighted mean
@@ -210,34 +214,33 @@ class PriceStack:
 
     def bounds(self, start: float, end: float | None) -> tuple[np.ndarray, np.ndarray]:
         """Per-market index ranges of samples with ``start <= t <= end``
-        (absolute indices into the stacked columns)."""
-        lo = self.offsets[:-1].copy()
-        hi = self.offsets[1:].copy()
+        (absolute indices into the stacked columns).  Each segment is
+        time-sorted, so its in-window range starts after the samples
+        before ``start`` and ends after the samples up to ``end``: two
+        per-segment counts instead of a per-market bisection loop."""
+        seg_lo, seg_hi = self.offsets[:-1], self.offsets[1:]
+        lo, hi = seg_lo.copy(), seg_hi.copy()
         if self.times.size == 0:
             return lo, hi
-        full_start = start <= self.times.min()
-        full_end = end is None or end >= self.times.max()
-        if full_start and full_end:
-            return lo, hi
-        for i in range(len(self.markets)):
-            segment = self.times[self.offsets[i]:self.offsets[i + 1]]
-            if not full_start:
-                lo[i] = self.offsets[i] + np.searchsorted(
-                    segment, start, side="left"
-                )
-            if not full_end:
-                hi[i] = self.offsets[i] + np.searchsorted(
-                    segment, end, side="right"
-                )
+        if start > self.times.min():
+            lo += _segment_sums(
+                (self.times < start).astype(np.int64), seg_lo, seg_hi
+            )
+        if end is not None and end < self.times.max():
+            hi = seg_lo + _segment_sums(
+                (self.times <= end).astype(np.int64), seg_lo, seg_hi
+            )
         return lo, hi
 
 
 class ProbeColumns:
     """Every probe record as flat columns, market-major (markets in
-    sorted order, time order within a market)."""
+    sorted order, time order within a market): market ``i`` owns rows
+    ``offsets[i]:offsets[i+1]``, like :class:`PriceStack`."""
 
     __slots__ = (
-        "markets", "outcomes", "market_index", "times", "spike_multiples",
+        "markets", "outcomes", "offsets", "market_index", "times",
+        "spike_multiples",
         "kind_codes", "trigger_codes", "outcome_codes", "rejected",
         "_region_cache", "_ordinal_cache",
     )
@@ -246,6 +249,7 @@ class ProbeColumns:
         self,
         markets: tuple[MarketID, ...],
         outcomes: tuple[str, ...],
+        offsets: np.ndarray,
         market_index: np.ndarray,
         times: np.ndarray,
         spike_multiples: np.ndarray,
@@ -256,6 +260,7 @@ class ProbeColumns:
     ) -> None:
         self.markets = markets
         self.outcomes = outcomes
+        self.offsets = offsets
         self.market_index = market_index
         self.times = times
         self.spike_multiples = spike_multiples
@@ -410,6 +415,87 @@ def stability_metrics(
     return mttr, avail, mean_price
 
 
+def _splice_tails(
+    offsets: np.ndarray,
+    columns: tuple[np.ndarray, ...],
+    tails: list[tuple[int, tuple[np.ndarray, ...]]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Append rows to the ends of some CSR segments.
+
+    ``tails`` pairs segment ordinals (ascending) with each segment's new
+    rows, one array (or packed ``array`` slice) per column.  Returns new offsets and columns; the
+    inputs are left untouched, so views already handed out stay valid.
+    Ascending ordinals keep the tails of segments that end at the same
+    row (an empty segment between them) in segment order, because
+    ``np.insert`` places values for equal indices in the order given.
+    """
+    ordinals = np.fromiter((o for o, _ in tails), dtype=np.int64, count=len(tails))
+    growth = np.fromiter(
+        (len(rows[0]) for _, rows in tails), dtype=np.int64, count=len(tails)
+    )
+    shift = np.zeros(len(offsets), dtype=np.int64)
+    shift[ordinals + 1] = growth
+    positions = np.repeat(offsets[ordinals + 1], growth)
+    return offsets + np.cumsum(shift), [
+        np.insert(column, positions, np.concatenate([rows[k] for _, rows in tails]))
+        for k, column in enumerate(columns)
+    ]
+
+
+class _CachedView:
+    """A cached catalog-wide view, its market ordinals, and the markets
+    appended to since the view was made."""
+
+    __slots__ = ("view", "ordinals", "dirty")
+
+    def __init__(self, view) -> None:
+        self.view = view
+        self.ordinals = {m: i for i, m in enumerate(view.markets)}
+        self.dirty: set[MarketID] = set()
+
+    def grown(self, length_of) -> list[tuple[int, int, int]] | None:
+        """``(ordinal, old_length, new_length)`` per appended segment, in
+        ordinal order — or None when only a rebuild is right: a dirty
+        market the view does not hold, or a series shorter than its
+        segment."""
+        offsets = self.view.offsets
+        grown = []
+        for market in self.dirty:
+            ordinal = self.ordinals.get(market)
+            if ordinal is None:
+                return None
+            old = int(offsets[ordinal + 1] - offsets[ordinal])
+            new = length_of(market)
+            if new < old:
+                return None
+            if new > old:
+                grown.append((ordinal, old, new))
+        grown.sort()
+        return grown
+
+
+#: The database's packed probe-block fields, in :class:`ProbeColumns`
+#: column order (after ``market_index``).
+_PROBE_FIELDS = (
+    ("times", np.float64), ("spike_multiples", np.float64),
+    ("kinds", np.int8), ("triggers", np.int8), ("outcomes", np.int32),
+    ("rejected", np.int8),
+)
+
+
+def _joined(columns: Iterable, dtype) -> np.ndarray:
+    """Packed ``array`` columns concatenated into one new numpy array:
+    a single C-level copy, no per-market numpy views."""
+    return np.frombuffer(bytearray().join(columns), dtype=dtype)
+
+
+def _offsets(counts: list[int]) -> np.ndarray:
+    """CSR segment offsets for per-segment row counts."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
 # -- the index ----------------------------------------------------------------
 
 class ReadIndex:
@@ -418,45 +504,54 @@ class ReadIndex:
     A friend of :class:`~repro.core.database.ProbeDatabase`: it reads
     the database's packed per-market columns directly and the database
     calls the ``invalidate_*`` hooks on every insert.  All views are
-    built lazily on first use and revalidated against the write
-    counters, so a view is never served stale.
+    built lazily on first use; the catalog-wide ones are then kept
+    current by splicing in each appended market's new rows, so a view
+    is never served stale.
     """
 
     def __init__(self, database: "ProbeDatabase") -> None:
         self._db = database
-        self._probe_version = 0
-        self._price_version = 0
         self._periods: dict[tuple[MarketID, ProbeKind], PeriodColumns] = {}
         self._price_arrays: dict[MarketID, tuple[np.ndarray, np.ndarray]] = {}
-        self._stack: PriceStack | None = None
-        self._stack_version = -1
-        self._substacks: dict[tuple[MarketID, ...], PriceStack] = {}
-        self._substacks_version = -1
-        self._columns: ProbeColumns | None = None
-        self._columns_version = -1
+        self._stack: _CachedView | None = None
+        self._substacks: dict[tuple[MarketID, ...], _CachedView] = {}
+        self._columns: _CachedView | None = None
         self.probe_invalidations = 0
         self.price_invalidations = 0
+        self.price_stack_builds = 0
+        self.price_stack_splices = 0
+        self.probe_columns_builds = 0
+        self.probe_columns_splices = 0
 
     # -- invalidation hooks (called by the database on insert) --------------
     def invalidate_probes(self, market: MarketID, kind: ProbeKind) -> None:
-        self._probe_version += 1
         self.probe_invalidations += 1
         self._periods.pop((market, kind), None)
+        if self._columns is not None:
+            self._columns.dirty.add(market)
 
     def invalidate_prices(self, market: MarketID) -> None:
-        self._price_version += 1
         self.price_invalidations += 1
         self._price_arrays.pop(market, None)
+        if self._stack is not None:
+            self._stack.dirty.add(market)
+        for entry in self._substacks.values():
+            if market in entry.ordinals:
+                entry.dirty.add(market)
 
     def stats(self) -> dict[str, int]:
-        """Invalidation counters and warm-view counts — how much of the
-        index survives a stream of replicated inserts (per-market
-        invalidation means untouched markets stay warm)."""
+        """Invalidation counters, warm-view counts, and how often the
+        catalog-wide views were rebuilt versus spliced — how much of the
+        index survives a stream of replicated inserts."""
         return {
             "probe_invalidations": self.probe_invalidations,
             "price_invalidations": self.price_invalidations,
             "warm_period_views": len(self._periods),
             "warm_price_arrays": len(self._price_arrays),
+            "price_stack_builds": self.price_stack_builds,
+            "price_stack_splices": self.price_stack_splices,
+            "probe_columns_builds": self.probe_columns_builds,
+            "probe_columns_splices": self.probe_columns_splices,
         }
 
     def reset(self) -> None:
@@ -465,11 +560,8 @@ class ReadIndex:
         self._periods.clear()
         self._price_arrays.clear()
         self._stack = None
-        self._stack_version = -1
         self._substacks.clear()
-        self._substacks_version = -1
         self._columns = None
-        self._columns_version = -1
 
     # -- periods -------------------------------------------------------------
     def period_columns(self, market: MarketID, kind: ProbeKind) -> PeriodColumns:
@@ -581,89 +673,120 @@ class ReadIndex:
         self, markets: Iterable[MarketID] | None = None
     ) -> PriceStack:
         """The stacked price columns — the full catalog or a subset
-        (e.g. one region's markets).  Both are cached until the next
-        price insert, so repeated region-filtered rankings do not
-        re-concatenate their segment on every call."""
+        (e.g. one region's markets).  Both are cached and spliced
+        forward on price inserts, so repeated region-filtered rankings
+        do not re-concatenate their segment on every call."""
         if markets is not None:
             key = tuple(markets)
-            if self._substacks_version != self._price_version:
+            entry = self._substacks.get(key)
+            if entry is None or entry.dirty:
+                entry = self._substacks[key] = self._refreshed_stack(entry, key)
+            return entry.view
+        entry = self._stack
+        if entry is None or entry.dirty:
+            refreshed = self._refreshed_stack(entry, None)
+            if refreshed is not entry:
+                # Substack keys are drawn from the full stack's markets;
+                # a rebuilt market set retires them.
                 self._substacks.clear()
-                self._substacks_version = self._price_version
-            cached = self._substacks.get(key)
-            if cached is None:
-                cached = self._substacks[key] = self._build_stack(key)
-            return cached
-        if self._stack is None or self._stack_version != self._price_version:
-            self._stack = self._build_stack(
-                tuple(sorted(self._db._prices_by_market))
+            entry = self._stack = refreshed
+        return entry.view
+
+    def _refreshed_stack(
+        self, entry: _CachedView | None, markets: tuple[MarketID, ...] | None
+    ) -> _CachedView:
+        """Splice ``entry``'s appended markets into it, or build anew."""
+        series = self._db._prices_by_market
+        grown = None if entry is None else entry.grown(lambda m: len(series[m]))
+        if grown is None:
+            self.price_stack_builds += 1
+            if markets is None:
+                markets = tuple(sorted(series))
+            return _CachedView(self._build_stack(markets))
+        stack = entry.view
+        if grown:
+            self.price_stack_splices += 1
+            tails = []
+            for ordinal, old, new in grown:
+                column = series[stack.markets[ordinal]]
+                tails.append(
+                    (ordinal, (column.times[old:new], column.values[old:new]))
+                )
+            offsets, (times, prices) = _splice_tails(
+                stack.offsets, (stack.times, stack.prices), tails
             )
-            self._stack_version = self._price_version
-        return self._stack
+            entry.view = PriceStack(stack.markets, offsets, times, prices)
+        entry.dirty.clear()
+        return entry
 
     def _build_stack(self, markets: tuple[MarketID, ...]) -> PriceStack:
         series = self._db._prices_by_market
-        offsets = np.zeros(len(markets) + 1, dtype=np.int64)
-        time_parts: list[np.ndarray] = []
-        price_parts: list[np.ndarray] = []
-        for i, market in enumerate(markets):
-            column = series.get(market)
-            count = 0 if column is None else len(column)
-            offsets[i + 1] = offsets[i] + count
-            if count:
-                # Transient frombuffer views; np.concatenate copies them
-                # out before the next append could invalidate a buffer.
-                time_parts.append(np.frombuffer(column.times, dtype=np.float64))
-                price_parts.append(
-                    np.frombuffer(column.values, dtype=np.float64)
-                )
-        if not time_parts:
-            return PriceStack(markets, offsets, _EMPTY_F8, _EMPTY_F8)
+        columns = [series[m] for m in markets if m in series]
         return PriceStack(
-            markets, offsets,
-            np.concatenate(time_parts), np.concatenate(price_parts),
+            markets,
+            _offsets([len(series.get(m, ())) for m in markets]),
+            _joined((c.times for c in columns), np.float64),
+            _joined((c.values for c in columns), np.float64),
         )
 
     # -- probes --------------------------------------------------------------
     def probe_columns(self) -> ProbeColumns:
-        if self._columns is None or self._columns_version != self._probe_version:
-            self._columns = self._build_probe_columns()
-            self._columns_version = self._probe_version
-        return self._columns
+        entry = self._columns
+        if entry is None or entry.dirty:
+            entry = self._columns = self._refreshed_columns(entry)
+            entry.view._ordinal_cache = entry.ordinals
+        return entry.view
+
+    def _refreshed_columns(self, entry: _CachedView | None) -> _CachedView:
+        """Splice ``entry``'s appended markets into it, or build anew."""
+        blocks = self._db._probe_blocks
+        grown = (
+            None if entry is None
+            else entry.grown(lambda m: len(blocks[m].times))
+        )
+        if grown is None:
+            self.probe_columns_builds += 1
+            return _CachedView(self._build_probe_columns())
+        columns = entry.view
+        if grown:
+            self.probe_columns_splices += 1
+            tails = []
+            for ordinal, old, new in grown:
+                block = blocks[columns.markets[ordinal]]
+                tails.append((ordinal, (
+                    np.full(new - old, ordinal, dtype=np.int32),
+                    *(getattr(block, field)[old:new] for field, _ in _PROBE_FIELDS),
+                )))
+            offsets, spliced = _splice_tails(
+                columns.offsets,
+                (
+                    columns.market_index, columns.times,
+                    columns.spike_multiples, columns.kind_codes,
+                    columns.trigger_codes, columns.outcome_codes,
+                    columns.rejected,
+                ),
+                tails,
+            )
+            entry.view = ProbeColumns(
+                columns.markets, tuple(self._db._outcome_names), offsets,
+                *spliced,
+            )
+        entry.dirty.clear()
+        return entry
 
     def _build_probe_columns(self) -> ProbeColumns:
         blocks = self._db._probe_blocks
         markets = tuple(sorted(blocks))
-        outcomes = tuple(self._db._outcome_names)
         counts = [len(blocks[m].times) for m in markets]
-        total = sum(counts)
-        if total == 0:
-            return ProbeColumns(
-                markets, outcomes,
-                _EMPTY_I8.astype(np.int32), _EMPTY_F8, _EMPTY_F8,
-                _EMPTY_I8.astype(np.int8), _EMPTY_I8.astype(np.int8),
-                _EMPTY_I8.astype(np.int32), np.empty(0, dtype=bool),
-            )
-
-        def concat(field: str, dtype) -> np.ndarray:
-            return np.concatenate(
-                [
-                    np.frombuffer(getattr(blocks[m], field), dtype=dtype)
-                    for m in markets
-                    if len(blocks[m].times)
-                ]
-            )
-
-        market_index = np.repeat(
-            np.arange(len(markets), dtype=np.int32), counts
-        )
+        columns = [
+            _joined((getattr(blocks[m], field) for m in markets), dtype)
+            for field, dtype in _PROBE_FIELDS
+        ]
+        columns[-1] = columns[-1].astype(bool)  # the rejection flags
         return ProbeColumns(
-            markets, outcomes, market_index,
-            concat("times", np.float64),
-            concat("spike_multiples", np.float64),
-            concat("kinds", np.int8),
-            concat("triggers", np.int8),
-            concat("outcomes", np.int32),
-            concat("rejected", np.int8).astype(bool),
+            markets, tuple(self._db._outcome_names), _offsets(counts),
+            np.repeat(np.arange(len(markets), dtype=np.int32), counts),
+            *columns,
         )
 
     # -- warm-up -------------------------------------------------------------

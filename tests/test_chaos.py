@@ -262,7 +262,12 @@ def _raw_query(
             + extra + b"\r\n" + body
         )
         rfile = sock.makefile("rb")
-        status = int(rfile.readline().split()[1])
+        status_line = rfile.readline()
+        if not status_line:
+            # A worker killed after accepting the connection closes it
+            # with no reply: a transport failure, like a reset.
+            raise ConnectionResetError("connection closed before a reply")
+        status = int(status_line.split()[1])
         headers: dict[str, str] = {}
         while True:
             line = rfile.readline()

@@ -14,6 +14,10 @@ answers.
   per-market reference reductions, which can move the last ulp).
 * **Incremental invalidation**: appending records refreshes the index;
   a stale view is never served.
+* **Splice-on-append**: over generated insert histories, every
+  catalog-wide view the index splices forward equals a fresh build,
+  views held across later inserts never change, and answers equal an
+  engine over a freshly loaded database.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.timeseries import TimeSeries
 from repro.core.database import ProbeDatabase
 from repro.core.market_id import MarketID
 from repro.core.query import SpotLightQuery
@@ -324,3 +331,265 @@ class TestIncrementalInvalidation:
         assert refreshed is not columns
         assert len(refreshed) == len(columns) + 1
         assert refreshed.outcome_code("capacity-not-available") >= 0
+
+
+def _loop_bounds(stack, start, end):
+    """The per-market bisection ``PriceStack.bounds`` replaced."""
+    lo = stack.offsets[:-1].copy()
+    hi = stack.offsets[1:].copy()
+    for i in range(len(stack.markets)):
+        segment = stack.times[stack.offsets[i]:stack.offsets[i + 1]]
+        lo[i] = stack.offsets[i] + np.searchsorted(segment, start, side="left")
+        if end is not None:
+            hi[i] = stack.offsets[i] + np.searchsorted(segment, end, side="right")
+    return lo, hi
+
+
+class TestStackBounds:
+    #: Four markets: a tied-sample series, an empty segment, a single
+    #: sample, and a late series.
+    SERIES = [
+        [100.0, 200.0, 200.0, 300.0],
+        [],
+        [250.0],
+        [400.0, 500.0, 600.0],
+    ]
+
+    def stack(self):
+        db = ProbeDatabase()
+        markets = [
+            MarketID(zone, "m3.large", "Linux/UNIX")
+            for zone in ("us-east-1a", "us-east-1b", "sa-east-1a",
+                         "ap-southeast-2a")
+        ]
+        for market, times in zip(markets, self.SERIES):
+            for t in times:
+                db.insert_price(PriceRecord(t, market, 1.0))
+        return db.read_index.price_stack(markets)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (0.0, None),           # the whole catalog
+            (200.0, None),         # start exactly on (tied) samples
+            (100.0, 500.0),        # both edges exactly on samples
+            (200.0, 200.0),        # a zero-width window on a tie
+            (150.0, 450.0),        # edges between samples
+            (0.0, 50.0),           # a window before the first sample
+            (700.0, None),         # a window after the last sample
+            (500.0, 250.0),        # end < start
+            (300.0, 299.0),        # end < start, inside one segment
+        ],
+    )
+    def test_counts_match_the_bisection_loop(self, start, end):
+        stack = self.stack()
+        lo, hi = stack.bounds(start, end)
+        want_lo, want_hi = _loop_bounds(stack, start, end)
+        assert lo.tolist() == want_lo.tolist()
+        assert hi.tolist() == want_hi.tolist()
+
+    def test_empty_stack(self):
+        stack = ProbeDatabase().read_index.price_stack()
+        lo, hi = stack.bounds(100.0, 200.0)
+        assert lo.tolist() == [] and hi.tolist() == []
+
+
+# -- splice-on-append, against fresh builds over generated histories -------
+
+SPLICE_MARKETS = [
+    MarketID("us-east-1a", "m3.medium", "Linux/UNIX"),
+    MarketID("us-east-1b", "m3.large", "Linux/UNIX"),
+    MarketID("sa-east-1a", "c3.large", "Linux/UNIX"),
+    MarketID("ap-southeast-2a", "m3.medium", "Linux/UNIX"),
+    MarketID("us-east-1a", "c3.large", "Linux/UNIX"),   # no data before prime()
+    MarketID("sa-east-1a", "m3.large", "Linux/UNIX"),   # no data before prime()
+]
+PRIMED = 4  # markets [0, PRIMED) get history before prime()
+
+_gap = st.sampled_from([0.0, 1.0, 300.0, 1200.0])
+_market = st.integers(0, len(SPLICE_MARKETS) - 1)
+_op = st.one_of(
+    st.tuples(
+        st.just("price"), _market, _gap,
+        st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0, 2.5]),
+    ),
+    st.tuples(
+        st.just("probe"), _market, _gap, st.sampled_from(list(ProbeKind)),
+        st.sampled_from([OUTCOME_FULFILLED, REJECTED, "capacity-not-available"]),
+    ),
+    st.tuples(st.just("substack"), st.sets(_market)),
+    st.tuples(st.just("hold")),
+    st.tuples(st.just("check")),
+    st.tuples(st.just("reset")),
+)
+
+
+def _snapshot(view) -> dict:
+    return {
+        name: getattr(view, name).copy()
+        for name in view.__slots__
+        if not name.startswith("_")
+        and isinstance(getattr(view, name), np.ndarray)
+    }
+
+
+def _assert_same_columns(got, want) -> None:
+    assert got.markets == want.markets
+    fields = _snapshot(want)
+    assert fields.keys() == _snapshot(got).keys()
+    for name, column in fields.items():
+        assert getattr(got, name).dtype == column.dtype, name
+        assert np.array_equal(getattr(got, name), column), name
+
+
+class TestSplicedViews:
+    @given(
+        seed_rows=st.lists(st.tuples(st.integers(0, PRIMED - 1), _gap), max_size=12),
+        ops=st.lists(_op, max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_spliced_views_equal_fresh_builds(self, seed_rows, ops):
+        catalog = default_catalog()
+        db = ProbeDatabase()
+        log: list = []
+        clock = dict.fromkeys(SPLICE_MARKETS, 0.0)
+
+        def insert(record) -> None:
+            log.append(record)
+            if isinstance(record, PriceRecord):
+                db.insert_price(record)
+            else:
+                db.insert_probe(record)
+
+        def probe(market, t, kind, outcome) -> ProbeRecord:
+            return ProbeRecord(
+                time=t, market=market, kind=kind,
+                trigger=ProbeTrigger.RECOVERY, outcome=outcome,
+            )
+
+        for i, gap in seed_rows:
+            market = SPLICE_MARKETS[i]
+            clock[market] += gap
+            insert(PriceRecord(clock[market], market, 0.3))
+            insert(probe(market, clock[market], ProbeKind.ON_DEMAND, REJECTED))
+        engine = SpotLightQuery(db, catalog)
+        engine.prime()
+        index = db.read_index
+        # Views held across later inserts, and their bytes when taken.
+        held: list = []
+        held_before: list[dict] = []
+
+        def check() -> None:
+            stack = index.price_stack()
+            _assert_same_columns(
+                stack, index._build_stack(tuple(sorted(db._prices_by_market)))
+            )
+            columns = index.probe_columns()
+            fresh_columns = index._build_probe_columns()
+            _assert_same_columns(columns, fresh_columns)
+            assert columns.outcomes == fresh_columns.outcomes
+            # Answers equal an engine over a database rebuilt from the log.
+            fresh_db = ProbeDatabase()
+            for record in log:
+                if isinstance(record, PriceRecord):
+                    fresh_db.insert_price(record)
+                else:
+                    fresh_db.insert_probe(record)
+            fresh = SpotLightQuery(fresh_db, catalog)
+            for kwargs in (
+                {"n": 100},
+                {"n": 100, "bid_multiple": 0.4, "start": 300.0, "end": 2500.0},
+                {"n": 100, "region": "sa-east-1"},
+            ):
+                assert engine.top_stable_markets(**kwargs) == (
+                    fresh.top_stable_markets(**kwargs)
+                )
+            bids = {m: 0.1 * (i + 1) for i, m in enumerate(SPLICE_MARKETS)}
+            assert engine.point_stats_batch(bids, 0.0, 3000.0) == (
+                fresh.point_stats_batch(bids, 0.0, 3000.0)
+            )
+            assert engine.rejection_counts() == fresh.rejection_counts()
+            for market in SPLICE_MARKETS:
+                for kind in (None, *ProbeKind):
+                    assert engine.rejection_counts(market, kind) == (
+                        fresh.rejection_counts(market, kind)
+                    )
+
+        for op in ops:
+            if op[0] == "price":
+                _, i, gap, price = op
+                market = SPLICE_MARKETS[i]
+                clock[market] += gap
+                insert(PriceRecord(clock[market], market, price))
+            elif op[0] == "probe":
+                _, i, gap, kind, outcome = op
+                market = SPLICE_MARKETS[i]
+                clock[market] += gap
+                insert(probe(market, clock[market], kind, outcome))
+            elif op[0] == "substack":
+                # Any subset, markets without prices (empty segments) too.
+                key = tuple(SPLICE_MARKETS[i] for i in sorted(op[1]))
+                view = index.price_stack(key)
+                _assert_same_columns(view, index._build_stack(key))
+                held.append(view)
+                held_before.append(_snapshot(view))
+            elif op[0] == "hold":
+                held.extend((index.price_stack(), index.probe_columns()))
+                held_before.extend(_snapshot(view) for view in held[-2:])
+            elif op[0] == "check":
+                check()
+            else:
+                index.reset()
+        check()
+        for view, before in zip(held, held_before, strict=True):
+            after = _snapshot(view)
+            assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    def test_tails_of_segments_ending_together_keep_segment_order(self):
+        """Empty segments end where their predecessor does; markets that
+        all grow at once must land in segment order."""
+        db = ProbeDatabase()
+        index = db.read_index
+        key = tuple(SPLICE_MARKETS)
+        db.insert_price(PriceRecord(1.0, key[0], 0.5))
+        index.price_stack(key)  # one priced segment, five empty ones
+        for i, market in enumerate(reversed(key)):
+            db.insert_price(PriceRecord(10.0 + i, market, float(i)))
+        spliced = index.price_stack(key)
+        _assert_same_columns(spliced, index._build_stack(key))
+        assert index.stats()["price_stack_splices"] == 1
+
+    def test_a_series_shorter_than_its_segment_rebuilds(self):
+        db, markets = build_database(6)
+        index = db.read_index
+        stack = index.price_stack()
+        market = stack.markets[0]
+        # A store reloaded underneath the index: the series lost rows.
+        db._prices_by_market[market] = TimeSeries()
+        db._prices_by_market[market].append(1.0, 0.25)
+        index.invalidate_prices(market)
+        rebuilt = index.price_stack()
+        _assert_same_columns(rebuilt, index._build_stack(stack.markets))
+        assert index.stats()["price_stack_builds"] == 2
+        assert index.stats()["price_stack_splices"] == 0
+
+    def test_new_market_and_reset_rebuild(self):
+        db, markets = build_database(7)
+        index = db.read_index
+        index.prime()
+        newcomer = MarketID("eu-west-1a", "m3.large", "Linux/UNIX")
+        db.insert_price(PriceRecord(1.0, newcomer, 0.2))
+        db.insert_probe(
+            ProbeRecord(
+                time=1.0, market=newcomer, kind=ProbeKind.SPOT,
+                trigger=ProbeTrigger.PERIODIC, outcome=OUTCOME_FULFILLED,
+            )
+        )
+        assert newcomer in index.price_stack().markets
+        assert newcomer in index.probe_columns().markets
+        index.reset()
+        index.price_stack()
+        index.probe_columns()
+        stats = index.stats()
+        assert stats["price_stack_builds"] == stats["probe_columns_builds"] == 3
+        assert stats["price_stack_splices"] == stats["probe_columns_splices"] == 0

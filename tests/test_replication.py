@@ -430,6 +430,38 @@ class TestReplicaTailer:
         assert tailer.loop_errors == 0
         writer.close()
 
+    def test_tailed_appends_splice_the_read_index(self, tmp_path):
+        """A commit touching three markets is spliced into the primed
+        catalog-wide views: the next ranking and rejection count build
+        nothing anew, and ``stats()`` reports it."""
+        markets = [M1, M2, MarketID("sa-east-1a", "c3.large", "Linux/UNIX")]
+        writer, recorder, tailer = _pair(tmp_path / "state")
+        for market in markets:
+            for t in (1.0, 2.0):
+                writer.insert_price(PriceRecord(t, market, 0.1 * t))
+                writer.insert_probe(_probe(t, market, outcome=REJ))
+        recorder.commit()
+        tailer.step()
+        engine = SpotLightQuery(tailer.store, default_catalog())
+        engine.prime()
+        before = tailer.stats()["read_index"]
+        for market in markets:
+            writer.insert_price(PriceRecord(3.0, market, 0.5))
+            writer.insert_probe(_probe(3.0, market))
+        recorder.commit()
+        assert tailer.step() == 6
+        assert len(engine.top_stable_markets(n=3)) == 3
+        assert engine.rejection_counts() == (6, 9)
+        after = tailer.stats()["read_index"]
+        assert before["price_stack_builds"] == before["probe_columns_builds"] == 1
+        assert after["price_stack_builds"] == after["probe_columns_builds"] == 1
+        assert after["price_stack_splices"] == before["price_stack_splices"] + 1
+        assert after["probe_columns_splices"] == (
+            before["probe_columns_splices"] + 1
+        )
+        assert after["price_invalidations"] - before["price_invalidations"] == 3
+        writer.close()
+
 
 # -- replica-mode datastore loading (satellite: legacy + recovery) -----------
 class TestReplicaModeLoading:
