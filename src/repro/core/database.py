@@ -34,8 +34,10 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from heapq import merge
+from itertools import islice
+from operator import gt, itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -45,9 +47,12 @@ from repro.common.timeseries import TimeSeries
 from repro.core.market_id import MarketID
 from repro.core.read_index import KIND_CODES, TRIGGER_CODES, ReadIndex
 from repro.core.records import (
+    OUTCOME_FULFILLED,
+    PROBE_CSV_FIELDS,
     PriceRecord,
     ProbeKind,
     ProbeRecord,
+    ProbeTrigger,
     UnavailabilityPeriod,
 )
 
@@ -74,6 +79,50 @@ def parse_price_csv_row(row: dict[str, str]) -> PriceRecord:
         row["availability_zone"], row["instance_type"], row["product"]
     )
     return PriceRecord(float(row["time"]), market, float(row["price"]))
+
+
+#: Enum members by their CSV value: a dict lookup per row instead of
+#: an ``Enum.__call__`` on the bulk-load path.
+_KINDS = {kind.value: kind for kind in ProbeKind}
+_TRIGGERS = {trigger.value: trigger for trigger in ProbeTrigger}
+
+#: Each kind's code as the one byte it occupies in a packed kind column.
+_KIND_BYTES = [(kind, bytes([code])) for kind, code in KIND_CODES.items()]
+
+_UNSEEN = object()
+
+
+def _pick_columns(header: Sequence[str], fields: Sequence[str]) -> itemgetter:
+    """A getter returning a row's ``fields`` cells, located by header
+    name (WAL files carry a trailing ``crc`` column; legacy files may
+    order or extend the columns differently)."""
+    missing = [field for field in fields if field not in header]
+    if missing:
+        raise ValueError(f"CSV header lacks column(s) {missing}")
+    return itemgetter(*(header.index(field) for field in fields))
+
+
+def _out_of_order(times: Sequence[float], after: float | None) -> bool:
+    """Whether ``times`` ever steps backwards, or starts before
+    ``after`` (the last time already stored) — exactly the per-row
+    ``new < last`` check, applied to a whole run at once."""
+    if after is not None and times and times[0] < after:
+        return True
+    return any(map(gt, times, islice(times, 1, None)))
+
+
+def stream_csv(
+    path: str | Path,
+    append: Callable[[list[str], Iterable[list[str]]], None],
+) -> None:
+    """Stream a CSV file into a bulk ``append_*_rows`` method: its
+    header, then its rows straight off the file handle (an empty file
+    appends nothing)."""
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header:
+            append(header, reader)
 
 
 def _materialize_prices(
@@ -118,6 +167,24 @@ class _ProbeColumnBlock:
         self.rejected.append(1 if record.rejected else 0)
         self.outcomes.append(outcome_code)
 
+    def extend(
+        self,
+        records: list[ProbeRecord],
+        outcome_codes: array,
+        rejected_by_code: list[int],
+    ) -> None:
+        """:meth:`append` over a run of records, a column at a time."""
+        self.times.fromlist([record.time for record in records])
+        self.spike_multiples.fromlist(
+            [record.spike_multiple for record in records]
+        )
+        self.kinds.fromlist([KIND_CODES[record.kind] for record in records])
+        self.triggers.fromlist(
+            [TRIGGER_CODES[record.trigger] for record in records]
+        )
+        self.rejected.fromlist([rejected_by_code[code] for code in outcome_codes])
+        self.outcomes.extend(outcome_codes)
+
 
 class ProbeDatabase:
     """Indexed in-memory store of probe and price records."""
@@ -137,6 +204,9 @@ class ProbeDatabase:
         self._probe_blocks: dict[MarketID, _ProbeColumnBlock] = {}
         self._outcome_codes: dict[str, int] = {}
         self._outcome_names: list[str] = []
+        #: One ``MarketID`` per ``(zone, type, product)`` key seen by the
+        #: bulk path, so loaded records share their market objects.
+        self._market_ids: dict[tuple[str, str, str], MarketID] = {}
         self._read_index: ReadIndex | None = None
 
     @property
@@ -187,6 +257,118 @@ class ProbeDatabase:
         column.append(record.time, record.price)
         if self._read_index is not None:
             self._read_index.invalidate_prices(record.market)
+
+    # -- bulk ingestion ------------------------------------------------------
+    # The load path: snapshot files, WAL replay and CSV imports hand over
+    # whole files of rows.  Each call equals ``insert_*`` over the same
+    # rows in order, appending onto whatever the store already holds,
+    # but parses straight into per-market columns.  Every market's run
+    # is checked before anything is installed, so a rejected file
+    # leaves the store as it was.  Nothing here writes a WAL.
+    def _owned_market(self, key: tuple[str, str, str]) -> MarketID | None:
+        """The interned ``MarketID`` for ``key``, or None if the shard
+        filter rejects it."""
+        market = self._market_ids.get(key)
+        if market is None:
+            market = MarketID(*key)
+            if not self.owns(market):
+                return None
+            self._market_ids[key] = market
+        return market
+
+    def append_price_rows(
+        self, header: Sequence[str], rows: Iterable[Sequence[str]]
+    ) -> None:
+        """Bulk :meth:`insert_price` over price-CSV rows."""
+        pick = _pick_columns(header, PRICE_CSV_FIELDS)
+        runs: dict[tuple[str, str, str], tuple | None] = {}
+        for time, zone, itype, product, price in map(pick, filter(None, rows)):
+            key = (zone, itype, product)
+            run = runs.get(key, _UNSEEN)
+            if run is _UNSEEN:
+                market = self._owned_market(key)
+                run = runs[key] = (
+                    None if market is None
+                    else (market, array("d"), array("d"))
+                )
+            if run is not None:
+                run[1].append(float(time))
+                run[2].append(float(price))
+        owned = [run for run in runs.values() if run is not None]
+        for market, times, _values in owned:
+            column = self._prices_by_market.get(market)
+            if _out_of_order(times, column.times[-1] if column else None):
+                raise ValueError(
+                    f"price records must arrive in time order for {market}"
+                )
+        for market, times, values in owned:
+            column = self._prices_by_market.get(market)
+            if column is None:
+                column = self._prices_by_market[market] = TimeSeries()
+            column.times.extend(times)
+            column.values.extend(values)
+            if self._read_index is not None:
+                self._read_index.invalidate_prices(market)
+
+    def append_probe_rows(
+        self, header: Sequence[str], rows: Iterable[Sequence[str]]
+    ) -> None:
+        """Bulk :meth:`insert_probe` over probe-CSV rows.  Outcome codes
+        are assigned in row order, as per-row inserts would."""
+        pick = _pick_columns(header, PROBE_CSV_FIELDS)
+        codes = dict(self._outcome_codes)
+        names = list(self._outcome_names)
+        runs: dict[tuple[str, str, str], tuple | None] = {}
+        try:
+            for (
+                time, zone, itype, product, kind, trigger, outcome,
+                spike_multiple, bid_price, cost, request_id,
+            ) in map(pick, filter(None, rows)):
+                key = (zone, itype, product)
+                run = runs.get(key, _UNSEEN)
+                if run is _UNSEEN:
+                    market = self._owned_market(key)
+                    run = runs[key] = (
+                        None if market is None else (market, [], array("i"))
+                    )
+                if run is None:
+                    continue
+                code = codes.get(outcome)
+                if code is None:
+                    code = codes[outcome] = len(names)
+                    names.append(outcome)
+                run[1].append(ProbeRecord(
+                    float(time), run[0], _KINDS[kind], _TRIGGERS[trigger],
+                    names[code], float(spike_multiple), float(bid_price),
+                    float(cost), request_id,
+                ))
+                run[2].append(code)
+        except KeyError as exc:
+            raise ValueError(f"unknown probe kind or trigger {exc}") from None
+        owned = [run for run in runs.values() if run is not None]
+        for market, records, _codes in owned:
+            existing = self._probes_by_market.get(market)
+            if _out_of_order(
+                [record.time for record in records],
+                existing[-1].time if existing else None,
+            ):
+                raise ValueError(
+                    f"probe records must arrive in time order for {market}"
+                )
+        self._outcome_codes, self._outcome_names = codes, names
+        rejected = [0 if name == OUTCOME_FULFILLED else 1 for name in names]
+        for market, records, outcomes in owned:
+            self._probes_by_market.setdefault(market, []).extend(records)
+            block = self._probe_blocks.get(market)
+            if block is None:
+                block = self._probe_blocks[market] = _ProbeColumnBlock()
+            block.extend(records, outcomes, rejected)
+            self._probe_count += len(records)
+            if self._read_index is not None:
+                for kind in {record.kind for record in records}:
+                    self._read_index.invalidate_probes(market, kind)
+        if owned:
+            self._all_probes_cache = None
 
     # -- raw queries -----------------------------------------------------------
     def __len__(self) -> int:
@@ -272,6 +454,28 @@ class ProbeDatabase:
         if market is not None:
             return len(self._prices_by_market.get(market, ()))
         return sum(len(c) for c in self._prices_by_market.values())
+
+    def last_prices(self) -> dict[MarketID, tuple[float, float]]:
+        """Each market's latest price sample as ``(time, price)``, read
+        off the packed columns (no per-market array copies)."""
+        return {
+            market: (column.times[-1], column.values[-1])
+            for market, column in self._prices_by_market.items()
+            if column.times
+        }
+
+    def last_probes(self) -> dict[tuple[MarketID, ProbeKind], ProbeRecord]:
+        """Each ``(market, kind)``'s latest probe record, located in the
+        packed kind column instead of a scan of the record list."""
+        latest: dict[tuple[MarketID, ProbeKind], ProbeRecord] = {}
+        for market, block in self._probe_blocks.items():
+            kinds = block.kinds.tobytes()
+            records = self._probes_by_market[market]
+            for kind, code in _KIND_BYTES:
+                at = kinds.rfind(code)
+                if at >= 0:
+                    latest[(market, kind)] = records[at]
+        return latest
 
     def price_at(self, market: MarketID, when: float) -> float | None:
         """The last observed price at or before ``when`` (None if unseen)."""
@@ -375,9 +579,7 @@ class ProbeDatabase:
     @classmethod
     def import_probes_csv(cls, path: str | Path) -> "ProbeDatabase":
         db = cls()
-        with Path(path).open(newline="") as handle:
-            for row in csv.DictReader(handle):
-                db.insert_probe(ProbeRecord.from_row(row))
+        stream_csv(path, db.append_probe_rows)
         return db
 
     def export_prices_csv(self, path: str | Path) -> int:
@@ -401,9 +603,7 @@ class ProbeDatabase:
     @classmethod
     def import_prices_csv(cls, path: str | Path) -> "ProbeDatabase":
         db = cls()
-        with Path(path).open(newline="") as handle:
-            for row in csv.DictReader(handle):
-                db.insert_price(parse_price_csv_row(row))
+        stream_csv(path, db.append_price_rows)
         return db
 
     def export_prices_json(self, path: str | Path) -> int:

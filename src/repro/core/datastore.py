@@ -51,6 +51,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 import zlib
 from pathlib import Path
 from typing import IO, Protocol, runtime_checkable
@@ -58,8 +59,8 @@ from typing import IO, Protocol, runtime_checkable
 from repro.core.database import (
     PRICE_CSV_FIELDS,
     ProbeDatabase,
-    parse_price_csv_row,
     price_csv_row,
+    stream_csv,
 )
 from repro.core.records import PROBE_CSV_FIELDS, PriceRecord, ProbeRecord
 
@@ -172,8 +173,8 @@ class _CsvAppender:
         self.handle.close()
 
 
-def _read_wal(path: Path) -> tuple[list[list[str]], list[dict], int]:
-    """Read a WAL's complete records: ``(raw_rows, dict_rows, dropped)``.
+def _read_wal(path: Path) -> tuple[list[str], list[list[str]], int]:
+    """Read a WAL's complete records: ``(header, rows, dropped)``.
 
     Stops at the first row that is short, over-long, or fails its CRC —
     everything from there on is a torn or garbled tail (CSV framing
@@ -185,10 +186,8 @@ def _read_wal(path: Path) -> tuple[list[list[str]], list[dict], int]:
         if not header:
             return [], [], 0
         has_crc = header[-1:] == ["crc"]
-        fields = header[:-1] if has_crc else header
         expected = len(header)
-        raw_rows: list[list[str]] = []
-        dict_rows: list[dict] = []
+        rows: list[list[str]] = []
         dropped = 0
         try:
             for row in reader:
@@ -203,15 +202,12 @@ def _read_wal(path: Path) -> tuple[list[list[str]], list[dict], int]:
                     if not ok:
                         dropped = 1 + sum(1 for _ in reader)
                         break
-                raw_rows.append(row)
-                dict_rows.append(
-                    dict(zip(fields, row[:-1] if has_crc else row))
-                )
+                rows.append(row)
         except csv.Error:
             # The tail is so mangled the CSV layer itself gave up;
             # everything verified so far still stands.
             dropped = max(dropped, 1)
-        return raw_rows, dict_rows, dropped
+        return header, rows, dropped
 
 
 class SnapshotDatastore(ProbeDatabase):
@@ -253,7 +249,14 @@ class SnapshotDatastore(ProbeDatabase):
         self._price_wal: _CsvAppender | None = None
         self._wal_counts: dict[int, dict[str, int]] = {}
         self.recovery_report: dict[str, object] = {}
+        #: Where the load's time went: checksum verification of the
+        #: snapshot files, and everything else (parse + WAL replay).
+        self.load_timings = {"verify_s": 0.0, "load_s": 0.0}
+        started = time.perf_counter()
         self._load()
+        self.load_timings["load_s"] = (
+            time.perf_counter() - started - self.load_timings["verify_s"]
+        )
 
     @property
     def generation(self) -> int:
@@ -471,15 +474,19 @@ class SnapshotDatastore(ProbeDatabase):
         generation = int(manifest.get("generation", 0))
         if generation == 0:
             return True
-        checksums = manifest.get("checksums") or {}
-        for kind in ("probes", "prices"):
-            path = self._snapshot_path(kind, generation)
-            if not path.exists():
-                return False
-            recorded = checksums.get(kind)
-            if recorded is not None and _sha256_file(path) != recorded:
-                return False
-        return True
+        started = time.perf_counter()
+        try:
+            checksums = manifest.get("checksums") or {}
+            for kind in ("probes", "prices"):
+                path = self._snapshot_path(kind, generation)
+                if not path.exists():
+                    return False
+                recorded = checksums.get(kind)
+                if recorded is not None and _sha256_file(path) != recorded:
+                    return False
+            return True
+        finally:
+            self.load_timings["verify_s"] += time.perf_counter() - started
 
     def _load(self) -> None:
         manifest_path = self.root / _MANIFEST
@@ -575,64 +582,47 @@ class SnapshotDatastore(ProbeDatabase):
     def _load_snapshot_generation(self, generation: int) -> None:
         if generation == 0:
             return
-        self._load_probes(self._snapshot_path("probes", generation))
-        self._load_prices(self._snapshot_path("prices", generation))
+        for kind, append in (
+            ("probes", self.append_probe_rows),
+            ("prices", self.append_price_rows),
+        ):
+            path = self._snapshot_path(kind, generation)
+            if path.exists():
+                stream_csv(path, append)
 
     def _replay_wal_generation(self, generation: int) -> None:
-        for kind, insert in (
-            ("probes", self._insert_probe_row),
-            ("prices", self._insert_price_row),
+        for kind, append in (
+            ("probes", self.append_probe_rows),
+            ("prices", self.append_price_rows),
         ):
             path = self._wal_path(kind, generation)
             if not path.exists() or path.stat().st_size == 0:
                 continue
-            raw_rows, dict_rows, dropped = _read_wal(path)
-            for row in dict_rows:
-                insert(row)
-            if dict_rows:
-                self._bump_wal_count(kind, generation, len(dict_rows))
+            header, rows, dropped = _read_wal(path)
+            if rows:
+                append(header, rows)
+                self._bump_wal_count(kind, generation, len(rows))
             if dropped:
                 self.recovery_report[f"{kind}_wal"] = {
                     "generation": generation,
-                    "recovered": len(dict_rows),
+                    "recovered": len(rows),
                     "dropped": dropped,
                 }
                 if self._append_log:
-                    self._trim_wal(path, raw_rows)
+                    self._trim_wal(path, header, rows)
 
-    def _trim_wal(self, path: Path, raw_rows: list[list[str]]) -> None:
+    def _trim_wal(
+        self, path: Path, header: list[str], rows: list[list[str]]
+    ) -> None:
         """Rewrite a WAL to just its verified rows, so appends after a
         torn-tail recovery land on a clean row boundary (read-only
         opens skip this — they do not own the directory)."""
-        with path.open(newline="") as handle:
-            header = next(csv.reader(handle), None)
         tmp = path.with_suffix(".csv.tmp")
         with tmp.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            if header:
-                writer.writerow(header)
-            writer.writerows(raw_rows)
+            writer.writerow(header)
+            writer.writerows(rows)
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(path)
         _fsync_path(self.root)
-
-    def _insert_probe_row(self, row: dict) -> None:
-        ProbeDatabase.insert_probe(self, ProbeRecord.from_row(row))
-
-    def _insert_price_row(self, row: dict) -> None:
-        ProbeDatabase.insert_price(self, parse_price_csv_row(row))
-
-    def _load_probes(self, path: Path) -> None:
-        if not path.exists() or path.stat().st_size == 0:
-            return
-        with path.open(newline="") as handle:
-            for row in csv.DictReader(handle):
-                self._insert_probe_row(row)
-
-    def _load_prices(self, path: Path) -> None:
-        if not path.exists() or path.stat().st_size == 0:
-            return
-        with path.open(newline="") as handle:
-            for row in csv.DictReader(handle):
-                self._insert_price_row(row)

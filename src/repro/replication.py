@@ -440,15 +440,11 @@ class TimeShiftedDatastore:
 def latest_record_time(store) -> float:
     """The largest observation timestamp anywhere in a store (0.0 when
     empty) — the base for a resume offset."""
-    latest = 0.0
-    for market in store.markets:
-        times, _prices = store.price_arrays(market)
-        if len(times):
-            latest = max(latest, float(times[-1]))
-        probes = store.probes(market)
-        if probes:
-            latest = max(latest, max(p.time for p in probes))
-    return latest
+    return max([
+        0.0,
+        *(when for when, _price in store.last_prices().values()),
+        *(record.time for record in store.last_probes().values()),
+    ])
 
 
 # -- the read side -----------------------------------------------------------
@@ -657,16 +653,14 @@ class ReplicaTailer:
         """Derive the per-market event state from the loaded store so
         the first tailed row emits a *transition*, not a replay of
         history."""
-        self._avail = {}
-        self._above = {}
-        for market in list(self.store.markets):
-            for record in self.store.probes(market):
-                self._avail[(market, record.kind)] = record.rejected
-            _times, prices = self.store.price_arrays(market)
-            if len(prices):
-                self._above[market] = self._is_spike(
-                    market, float(prices[-1])
-                )
+        self._avail = {
+            key: record.rejected
+            for key, record in self.store.last_probes().items()
+        }
+        self._above = {
+            market: self._is_spike(market, price)
+            for market, (_when, price) in self.store.last_prices().items()
+        }
 
     def _is_spike(self, market, price: float) -> bool:
         if self.catalog is None:

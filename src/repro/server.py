@@ -260,6 +260,7 @@ class SpotLightServer:
         stats_board: "object | None" = None,
         replica: "object | None" = None,
         frontend_lock: "threading.Lock | None" = None,
+        startup: "dict[str, float] | None" = None,
     ) -> None:
         self.frontend = frontend
         self.host = host
@@ -285,6 +286,9 @@ class SpotLightServer:
         # a recorder's directory: source of the /watch change feed, the
         # replica-lag gauge, and the "replica-stale" health detail.
         self.replica = replica
+        # Seconds each start-up stage took before this server was built
+        # (snapshot verify/load, prime, replica seed), for /stats.
+        self.startup = startup
         # The frontend mutates its cache with no locking; one worker
         # lock serializes engine calls across connections.  A follower
         # passes its tailer's lock here so replicated inserts and
@@ -1045,6 +1049,11 @@ class SpotLightServer:
                 "events_sent": self.watch_events,
             },
         }
+        if self.startup is not None:
+            payload["startup"] = {
+                stage: round(seconds, 4)
+                for stage, seconds in self.startup.items()
+            }
         if self.replica is not None:
             try:
                 payload["replica"] = self.replica.stats()

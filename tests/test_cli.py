@@ -199,6 +199,54 @@ def test_serve_command_end_to_end(tmp_path):
             server.wait(timeout=30)
 
 
+@pytest.mark.parametrize("follow", [False, True])
+def test_serve_reports_startup_stages_in_stats(tmp_path, follow):
+    """`/stats` carries the start-up stage timings; stdout still opens
+    with the `serving on` announcement."""
+    import re
+    import signal
+
+    from repro.client import SpotLightClient
+    from repro.core.datastore import SnapshotDatastore
+    from repro.core.market_id import MarketID
+    from repro.core.records import PriceRecord
+
+    snapshot = tmp_path / "state"
+    store = SnapshotDatastore(snapshot)
+    market = MarketID("sa-east-1a", "c3.large", "Linux/UNIX")
+    for step in range(5):
+        store.insert_price(PriceRecord(300.0 * step, market, 0.03 + step / 100))
+    store.save()
+    store.close()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--snapshot", str(snapshot),
+         "--port", "0", *(["--follow"] if follow else [])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        line = server.stdout.readline()
+        assert line.startswith("serving on http://"), line
+        match = re.search(r"http://([\d.]+):(\d+)", line)
+        with SpotLightClient(match.group(1), int(match.group(2))) as client:
+            startup = client.stats()["startup"]
+        stages = {"verify_s", "load_s", "prime_s"}
+        assert startup.keys() == (stages | {"replica_seed_s"} if follow else stages)
+        assert all(
+            isinstance(seconds, float) and seconds >= 0.0
+            for seconds in startup.values()
+        )
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30) == 0, server.stderr.read()
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+
+
 def test_query_refuses_a_missing_snapshot(tmp_path, capsys):
     code = main(["query", "--snapshot", str(tmp_path / "typo")])
     assert code == 2

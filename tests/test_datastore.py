@@ -1,6 +1,15 @@
 """Tests for the pluggable datastore backends (snapshot + WAL resume)."""
 
+import csv
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     EC2Simulator,
@@ -12,9 +21,17 @@ from repro import (
     SpotLightConfig,
     SpotLightQuery,
 )
+from repro.core.database import (
+    PRICE_CSV_FIELDS,
+    ProbeDatabase,
+    parse_price_csv_row,
+    price_csv_row,
+    stream_csv,
+)
 from repro.core.datastore import Datastore
 from repro.core.records import (
     OUTCOME_FULFILLED,
+    PROBE_CSV_FIELDS,
     PriceRecord,
     ProbeKind,
     ProbeRecord,
@@ -208,11 +225,6 @@ class TestSnapshotDatastore:
     def test_legacy_v1_manifest_still_loads(self, tmp_path):
         """Directories written before checksums existed (format 1, no
         ``checksums``/``previous`` blocks, plain WAL rows) must load."""
-        import csv
-        import json
-
-        from repro.core.records import PROBE_CSV_FIELDS
-
         root = tmp_path / "state"
         store = SnapshotDatastore(root)
         _fill(store)
@@ -472,3 +484,310 @@ class TestServiceStopResume:
 
         reloaded = SnapshotDatastore(root)
         assert reloaded.price_count() == spotlight.database.price_count()
+
+
+# -- the bulk (column-at-a-time) load path -----------------------------------
+BULK_MARKETS = [
+    MarketID("us-east-1a", "m3.large", "Linux/UNIX"),
+    MarketID("us-east-1a", "c3.large", "Linux/UNIX"),
+    MarketID("us-east-1b", "m3.large", "Windows"),
+    MarketID("sa-east-1a", "c3.xlarge", "SUSE Linux"),
+    MarketID("sa-east-1b", "m3.large", "Linux/UNIX"),
+]
+SHARD = set(BULK_MARKETS[::2])
+
+_index = st.integers(0, len(BULK_MARKETS) - 1)
+_gap = st.sampled_from([0.0, 0.0, 0.5, 1.0, 300.0, 1234.5678])
+_probe_row = st.tuples(
+    _index,
+    _gap,
+    st.sampled_from(list(ProbeKind)),
+    st.sampled_from(list(ProbeTrigger)),
+    st.sampled_from([
+        OUTCOME_FULFILLED,
+        "InsufficientInstanceCapacity",
+        "capacity-not-available",
+        "price-too-low",
+    ]),
+    st.floats(0.0, 5.0),
+    st.sampled_from([0.0, 0.031]),
+    st.sampled_from([0.0, 0.133]),
+    st.text(alphabet="ab,\"' ", max_size=6),  # request ids with , and quotes
+)
+_price_row = st.tuples(_index, _gap, st.floats(0.001, 10.0))
+
+
+def _histories(probe_rows, price_rows):
+    """Records with per-market non-decreasing times, in draw order."""
+    clock = dict.fromkeys(BULK_MARKETS, 0.0)
+    probes = []
+    for i, gap, kind, trigger, outcome, spike, bid, cost, request_id in probe_rows:
+        market = BULK_MARKETS[i]
+        clock[market] += gap
+        probes.append(ProbeRecord(
+            clock[market], market, kind, trigger, outcome, spike, bid, cost,
+            request_id,
+        ))
+    clock = dict.fromkeys(BULK_MARKETS, 0.0)
+    prices = []
+    for i, gap, price in price_rows:
+        market = BULK_MARKETS[i]
+        clock[market] += gap
+        prices.append(PriceRecord(clock[market], market, price))
+    return probes, prices
+
+
+def _write_rows(path, kind, records, columns=None, crc=False) -> None:
+    """Records as a probe or price CSV (optionally with the columns in
+    another order, or with a WAL-style trailing crc column)."""
+    fields = PROBE_CSV_FIELDS if kind == "probes" else PRICE_CSV_FIELDS
+    columns = columns or fields
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*columns, "crc"] if crc else columns)
+        for record in records:
+            if kind == "probes":
+                row = record.to_row()
+            else:
+                row = dict(zip(
+                    fields, price_csv_row(record.time, record.market, record.price)
+                ))
+            cells = [row[field] for field in columns]
+            writer.writerow([*cells, "0"] if crc else cells)
+
+
+def _per_row_load(files, market_filter=None) -> ProbeDatabase:
+    """The reference: every file row through ``csv.DictReader`` and the
+    per-row ``insert_probe``/``insert_price``."""
+    db = ProbeDatabase(market_filter)
+    for kind, path in files:
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                if kind == "probes":
+                    db.insert_probe(ProbeRecord.from_row(row))
+                else:
+                    db.insert_price(parse_price_csv_row(row))
+    return db
+
+
+def _bulk_load(files, db: ProbeDatabase) -> ProbeDatabase:
+    for kind, path in files:
+        stream_csv(
+            path,
+            db.append_probe_rows if kind == "probes" else db.append_price_rows,
+        )
+    return db
+
+
+def _assert_same_store(got: ProbeDatabase, want: ProbeDatabase) -> None:
+    assert list(got._prices_by_market) == list(want._prices_by_market)
+    for market, column in want._prices_by_market.items():
+        loaded = got._prices_by_market[market]
+        for name in ("times", "values"):
+            assert getattr(loaded, name).typecode == "d"
+            assert getattr(loaded, name) == getattr(column, name), name
+    assert list(got._probes_by_market) == list(want._probes_by_market)
+    assert got._probes_by_market == want._probes_by_market
+    assert list(got._probe_blocks) == list(want._probe_blocks)
+    for market, block in want._probe_blocks.items():
+        loaded = got._probe_blocks[market]
+        for name in block.__slots__:
+            column = getattr(block, name)
+            assert getattr(loaded, name).typecode == column.typecode, name
+            assert getattr(loaded, name) == column, name
+    assert got._outcome_names == want._outcome_names
+    assert got._outcome_codes == want._outcome_codes
+    assert len(got) == len(want)
+    assert got.markets == want.markets
+    assert got.price_count() == want.price_count()
+    assert got.probes() == want.probes()
+
+
+def _assert_views_fresh(db: ProbeDatabase) -> None:
+    """The read index's (spliced) views equal fresh builds."""
+    index = db.read_index
+    pairs = [
+        (index.price_stack(), index._build_stack(tuple(sorted(db._prices_by_market)))),
+        (index.probe_columns(), index._build_probe_columns()),
+    ]
+    for got, want in pairs:
+        assert got.markets == want.markets
+        for name in want.__slots__:
+            column = getattr(want, name, None)
+            if isinstance(column, np.ndarray):
+                assert np.array_equal(getattr(got, name), column), name
+
+
+def _rewrite_snapshot_file(root: Path, name: str, transform) -> None:
+    """Rewrite one snapshot file's data rows and re-stamp its checksum,
+    so the load gets past verification to the rows themselves."""
+    path = root / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + transform(lines[1:])))
+    manifest = json.loads((root / "manifest.json").read_text())
+    kind = name.split(".", 1)[0]
+    manifest["checksums"][kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestBulkLoad:
+    """The column-at-a-time load path equals per-row inserts over the
+    same rows: every column, record, outcome code and error."""
+
+    @given(
+        probe_rows=st.lists(_probe_row, max_size=40),
+        price_rows=st.lists(_price_row, max_size=40),
+        split=st.floats(0.0, 1.0),
+        sharded=st.booleans(),
+        primed=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bulk_load_equals_per_row_inserts(
+        self, probe_rows, price_rows, split, sharded, primed
+    ):
+        probes, prices = _histories(probe_rows, price_rows)
+        market_filter = SHARD.__contains__ if sharded else None
+        cut_probes = int(len(probes) * split)
+        cut_prices = int(len(prices) * split)
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch)
+            # A snapshot-shaped first part, then a WAL-shaped second
+            # part (trailing crc column, columns in another order)
+            # appended onto the loaded columns.
+            first = [("probes", root / "p1.csv"), ("prices", root / "q1.csv")]
+            second = [("probes", root / "p2.csv"), ("prices", root / "q2.csv")]
+            _write_rows(first[0][1], "probes", probes[:cut_probes])
+            _write_rows(first[1][1], "prices", prices[:cut_prices])
+            _write_rows(
+                second[0][1], "probes", probes[cut_probes:],
+                columns=PROBE_CSV_FIELDS[::-1], crc=True,
+            )
+            _write_rows(
+                second[1][1], "prices", prices[cut_prices:],
+                columns=PRICE_CSV_FIELDS[::-1], crc=True,
+            )
+            want = _per_row_load(first + second, market_filter)
+            got = _bulk_load(first, ProbeDatabase(market_filter))
+            if primed:
+                got.read_index.prime()
+            _bulk_load(second, got)
+            _assert_same_store(got, want)
+            if primed:
+                _assert_views_fresh(got)
+
+    def test_header_only_files_load_nothing(self, tmp_path):
+        files = [
+            ("probes", tmp_path / "probes.csv"), ("prices", tmp_path / "prices.csv")
+        ]
+        for kind, path in files:
+            _write_rows(path, kind, [])
+        empty = _bulk_load(files, ProbeDatabase())
+        _assert_same_store(empty, _per_row_load(files))
+        store = ProbeDatabase()
+        _fill(store)
+        before = store.probes(), store.price_count()
+        _bulk_load(files, store)
+        assert (store.probes(), store.price_count()) == before
+
+    @pytest.mark.parametrize("name", ["probes.1.csv", "prices.1.csv"])
+    def test_out_of_order_snapshot_raises(self, tmp_path, name):
+        root = tmp_path / "state"
+        store = SnapshotDatastore(root)
+        store.insert_probe(_probe(10.0))
+        store.insert_probe(_probe(20.0))
+        store.insert_price(PriceRecord(10.0, M1, 0.1))
+        store.insert_price(PriceRecord(20.0, M1, 0.2))
+        store.save()
+        store.close()
+        _rewrite_snapshot_file(root, name, lambda rows: rows[::-1])
+        kind = name.split(".", 1)[0][:-1]
+        with pytest.raises(ValueError, match=f"{kind} records must arrive in time order"):
+            SnapshotDatastore(root)
+
+    def test_a_rejected_run_leaves_the_store_unchanged(self, tmp_path):
+        store = ProbeDatabase()
+        _fill(store)
+        before = store.probes(), list(store._outcome_names)
+        stale = tmp_path / "stale.csv"
+        # M2's row is fine; M1's starts before M1's stored tail (30.0).
+        _write_rows(stale, "probes", [
+            _probe(40.0, market=M2, outcome="new-outcome"), _probe(25.0),
+        ])
+        with pytest.raises(ValueError, match="time order"):
+            stream_csv(stale, store.append_probe_rows)
+        assert (store.probes(), store._outcome_names) == before
+
+    def test_fallback_replays_wal_generations_onto_the_bulk_snapshot(
+        self, tmp_path
+    ):
+        from repro.chaos import garble_tail
+
+        root = tmp_path / "state"
+        store = SnapshotDatastore(root)
+        _fill(store)
+        store.save()                                   # generation 1
+        store.insert_probe(_probe(40.0, outcome="price-too-low"))
+        store.insert_price(PriceRecord(200.0, M1, 0.3))
+        store.save()                                   # generation 2
+        store.insert_probe(_probe(50.0, market=M2, outcome="capacity-oversubscribed"))
+        store.insert_price(PriceRecord(300.0, M2, 0.4))
+        store.close()
+        garble_tail(root / "probes.2.csv", 12)
+
+        reloaded = SnapshotDatastore(root)
+        assert reloaded.recovery_report["fallback"]["wal_generations_replayed"] == [1, 2]
+        want = _per_row_load([
+            ("probes", root / "probes.1.csv"),
+            ("prices", root / "prices.1.csv"),
+            ("probes", root / "probes.wal.1.csv"),
+            ("prices", root / "prices.wal.1.csv"),
+            ("probes", root / "probes.wal.2.csv"),
+            ("prices", root / "prices.wal.2.csv"),
+        ])
+        _assert_same_store(reloaded, want)
+        assert reloaded.probes() == store.probes()
+
+    def test_legacy_layout_equals_the_per_row_load(self, tmp_path):
+        root = tmp_path / "state"
+        store = SnapshotDatastore(root)
+        _fill(store)
+        store.save()
+        manifest = json.loads((root / "manifest.json").read_text())
+        for key in ("checksums", "previous"):
+            manifest.pop(key)
+        manifest["format_version"] = 1
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        (root / "manifest.prev.json").unlink(missing_ok=True)
+        legacy_wal = root / "prices.wal.1.csv"  # no crc column
+        _write_rows(legacy_wal, "prices", [PriceRecord(500.0, M2, 0.07)])
+
+        reloaded = SnapshotDatastore(root)
+        assert reloaded.recovery_report == {}
+        want = _per_row_load([
+            ("probes", root / "probes.1.csv"),
+            ("prices", root / "prices.1.csv"),
+            ("prices", legacy_wal),
+        ])
+        _assert_same_store(reloaded, want)
+
+    def test_one_market_id_object_per_market(self, tmp_path):
+        root = tmp_path / "state"
+        store = SnapshotDatastore(root)
+        _fill(store)
+        store.save()
+        store.insert_probe(_probe(60.0, market=M2))
+        store.insert_price(PriceRecord(400.0, M1, 0.2))
+        store.close()
+
+        reloaded = SnapshotDatastore(root)
+        objects: dict[MarketID, set[int]] = {}
+        holders = [
+            *reloaded._prices_by_market,
+            *reloaded._probes_by_market,
+            *reloaded._probe_blocks,
+            *(record.market for record in reloaded.probes()),
+        ]
+        for market in holders:
+            objects.setdefault(market, set()).add(id(market))
+        assert objects.keys() == {M1, M2}
+        assert all(len(ids) == 1 for ids in objects.values())

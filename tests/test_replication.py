@@ -10,11 +10,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import ChaosHarness, ChaosPlan, FaultEvent
 from repro.client import (
@@ -296,6 +299,88 @@ class TestTimeShiftedDatastore:
         assert latest_record_time(store) == 1005.0
         assert len(shifted) == len(store)  # delegation
         store.close()
+
+
+SEED_MARKETS = [
+    MarketID(zone, itype, product)
+    for zone, itype, product in sorted(default_catalog().iter_markets())[:4]
+]
+
+
+def _scanned_baselines(store, tailer) -> tuple[dict, dict]:
+    """The per-market scan the replica's seed used to run: every probe
+    record and a copied price array per market."""
+    avail: dict = {}
+    above: dict = {}
+    for market in list(store.markets):
+        for record in store.probes(market):
+            avail[(market, record.kind)] = record.rejected
+        _times, prices = store.price_arrays(market)
+        if len(prices):
+            above[market] = tailer._is_spike(market, float(prices[-1]))
+    return avail, above
+
+
+def _scanned_latest_time(store) -> float:
+    latest = 0.0
+    for market in store.markets:
+        times, _prices = store.price_arrays(market)
+        if len(times):
+            latest = max(latest, float(times[-1]))
+        probes = store.probes(market)
+        if probes:
+            latest = max(latest, max(p.time for p in probes))
+    return latest
+
+
+class TestReplicaSeed:
+    """The replica's start-up baselines, read off the packed columns,
+    equal the per-market scan over a generated store."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, len(SEED_MARKETS) - 1),
+                st.sampled_from([0.0, 1.0, 60.0]),
+                st.sampled_from(["probe", "price"]),
+                st.sampled_from(list(ProbeKind)),
+                st.sampled_from([OUTCOME_FULFILLED, REJ]),
+                st.sampled_from([0.2, 0.9, 1.0, 2.5]),  # x on-demand
+            ),
+            max_size=40,
+        ),
+        saved=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_baselines_equal_the_scan(self, rows, saved):
+        catalog = default_catalog()
+        clock = dict.fromkeys(SEED_MARKETS, 0.0)
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "state"
+            writer = SnapshotDatastore(root)
+            for i, gap, what, kind, outcome, multiple in rows:
+                market = SEED_MARKETS[i]
+                clock[market] += gap
+                if what == "probe":
+                    writer.insert_probe(
+                        _probe(clock[market], market, outcome, kind=kind)
+                    )
+                else:
+                    od = catalog.on_demand_price(
+                        market.instance_type, market.region, market.product
+                    )
+                    writer.insert_price(
+                        PriceRecord(clock[market], market, od * multiple)
+                    )
+            if saved:
+                writer.save()  # else the load replays the WAL alone
+            writer.close()
+            store = SnapshotDatastore(root, append_log=False)
+            tailer = ReplicaTailer(store, catalog=catalog)
+            assert (tailer._avail, tailer._above) == (
+                _scanned_baselines(store, tailer)
+            )
+            assert latest_record_time(store) == _scanned_latest_time(store)
 
 
 # -- the replica tailer ------------------------------------------------------
