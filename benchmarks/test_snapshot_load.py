@@ -72,7 +72,9 @@ def test_full_catalog_snapshot_load(tmp_path):
     for market, column in reference._prices_by_market.items():
         loaded = store._prices_by_market[market]
         assert (loaded.times, loaded.values) == (column.times, column.values)
+    assert list(store._probe_blocks) == list(reference._probe_blocks)
     for market, block in reference._probe_blocks.items():
+        assert store.probes(market) == reference.probes(market)
         loaded = store._probe_blocks[market]
         for name in block.__slots__:
             assert getattr(loaded, name) == getattr(block, name), name

@@ -558,27 +558,15 @@ def cmd_serve(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    from repro.server_pool import prepare_to_serve
+
     # Start-up stages, reported in /stats (never on stdout: the first
     # stdout line is the "serving on" announcement).
-    startup = dict(datastore.load_timings)
-    started = time.perf_counter()
-    frontend.prime()  # build the read index before the first request
-    startup["prime_s"] = time.perf_counter() - started
-
-    replica = None
+    startup, replica = prepare_to_serve(
+        frontend, datastore, args.follow, args.max_lag, args.poll_interval
+    )
     serve_kwargs: dict = {"startup": startup}
-    if args.follow:
-        from repro.replication import ReplicaTailer
-
-        started = time.perf_counter()
-        replica = ReplicaTailer(
-            datastore,
-            frontend,
-            catalog=default_catalog(),
-            max_lag=args.max_lag,
-            poll_interval=args.poll_interval,
-        )
-        startup["replica_seed_s"] = time.perf_counter() - started
+    if replica is not None:
         # The server serializes replicated inserts and engine reads on
         # the tailer's lock; /watch and /healthz see the tailer itself.
         serve_kwargs.update(replica=replica, frontend_lock=replica.lock)

@@ -15,18 +15,17 @@ column directly, and gives the analysis readers numpy snapshots
 (:meth:`ProbeDatabase.price_arrays`).  ``PriceRecord`` objects are
 materialized lazily, only when a caller asks for them.
 
-Probe records are kept once, per market (the old layout also kept a
-second global list, doubling memory); the global, time-ordered view is
-derived lazily by merging the per-market lists and cached until the
-next insert.
-
-Alongside each market's record list, the database maintains **packed
-probe columns** (times, kind/trigger/outcome codes, rejection flags,
-spike multiples as ``array`` columns).  They feed the
-:class:`~repro.core.read_index.ReadIndex` — the lazily-built,
-incrementally-invalidated columnar views the vectorized query engine
-and the analysis readers scan — without a per-record Python pass at
-read time.
+Probe records are stored the same way: per market, one block of
+**packed probe columns** (times, spike multiples, bid prices and costs
+as ``array('d')``; kind/trigger/outcome codes and rejection flags as
+integer ``array`` columns; request ids as a list).  The blocks are the
+only probe storage.  ``ProbeRecord`` objects are built from them one
+row at a time, only when a caller asks for them; the global,
+time-ordered view is a stable sort of the concatenated time columns.
+The same columns feed the :class:`~repro.core.read_index.ReadIndex` —
+the lazily-built, incrementally-invalidated columnar views the
+vectorized query engine and the analysis readers scan — without a
+per-record Python pass at read time.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from __future__ import annotations
 import csv
 import json
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from heapq import merge
-from itertools import islice
+from itertools import chain, islice
 from operator import gt, itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -45,14 +44,19 @@ import numpy as np
 
 from repro.common.timeseries import TimeSeries
 from repro.core.market_id import MarketID
-from repro.core.read_index import KIND_CODES, TRIGGER_CODES, ReadIndex
+from repro.core.read_index import (
+    KIND_CODES,
+    TRIGGER_CODES,
+    ReadIndex,
+    _joined,
+    _offsets,
+)
 from repro.core.records import (
     OUTCOME_FULFILLED,
     PROBE_CSV_FIELDS,
     PriceRecord,
     ProbeKind,
     ProbeRecord,
-    ProbeTrigger,
     UnavailabilityPeriod,
 )
 
@@ -81,10 +85,15 @@ def parse_price_csv_row(row: dict[str, str]) -> PriceRecord:
     return PriceRecord(float(row["time"]), market, float(row["price"]))
 
 
-#: Enum members by their CSV value: a dict lookup per row instead of
-#: an ``Enum.__call__`` on the bulk-load path.
-_KINDS = {kind.value: kind for kind in ProbeKind}
-_TRIGGERS = {trigger.value: trigger for trigger in ProbeTrigger}
+#: Kinds and triggers by their packed code (the codes number the enums
+#: in declaration order), and the codes by CSV value: a dict lookup per
+#: row on the bulk-load path instead of an ``Enum.__call__``.
+_KIND_OF = list(KIND_CODES)
+_TRIGGER_OF = list(TRIGGER_CODES)
+_KIND_CODE_OF = {kind.value: code for kind, code in KIND_CODES.items()}
+_TRIGGER_CODE_OF = {
+    trigger.value: code for trigger, code in TRIGGER_CODES.items()
+}
 
 #: Each kind's code as the one byte it occupies in a packed kind column.
 _KIND_BYTES = [(kind, bytes([code])) for kind, code in KIND_CODES.items()]
@@ -139,51 +148,77 @@ def _materialize_prices(
 
 
 class _ProbeColumnBlock:
-    """Packed per-market mirror of the probe-record list.
+    """One market's probe log as packed columns, in arrival order.
 
-    The record objects stay canonical (the ``probes()`` API and CSV
-    export hand them out); these columns exist so the read index can
-    build its numpy views with array passes instead of touching every
-    record object again.
+    These columns are the only probe storage.  The read index builds
+    its numpy views from them with array passes; ``ProbeRecord``
+    objects are built one row at a time (:meth:`record`), only when a
+    caller asks for them.  Kinds, triggers and outcomes are stored as
+    codes, and ``rejected`` caches ``outcome != OUTCOME_FULFILLED``.
     """
 
     __slots__ = (
-        "times", "spike_multiples", "kinds", "triggers", "rejected", "outcomes"
+        "times", "spike_multiples", "bid_prices", "costs", "kinds",
+        "triggers", "rejected", "outcomes", "request_ids",
     )
 
     def __init__(self) -> None:
         self.times = array("d")
         self.spike_multiples = array("d")
+        self.bid_prices = array("d")
+        self.costs = array("d")
         self.kinds = array("b")
         self.triggers = array("b")
         self.rejected = array("b")
         self.outcomes = array("i")
+        self.request_ids: list[str] = []
 
     def append(self, record: ProbeRecord, outcome_code: int) -> None:
         self.times.append(record.time)
         self.spike_multiples.append(record.spike_multiple)
+        self.bid_prices.append(record.bid_price)
+        self.costs.append(record.cost)
         self.kinds.append(KIND_CODES[record.kind])
         self.triggers.append(TRIGGER_CODES[record.trigger])
         self.rejected.append(1 if record.rejected else 0)
         self.outcomes.append(outcome_code)
+        self.request_ids.append(record.request_id)
 
-    def extend(
+    def extend(self, other: "_ProbeColumnBlock") -> None:
+        """Append another block's rows, a column at a time."""
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
+
+    def select(
         self,
-        records: list[ProbeRecord],
-        outcome_codes: array,
-        rejected_by_code: list[int],
-    ) -> None:
-        """:meth:`append` over a run of records, a column at a time."""
-        self.times.fromlist([record.time for record in records])
-        self.spike_multiples.fromlist(
-            [record.spike_multiple for record in records]
+        kind: ProbeKind | None,
+        rejected: bool | None,
+        start: float | None,
+        end: float | None,
+    ) -> Sequence[int]:
+        """Indices of the rows that pass the filters, in order; the
+        time range is bisected off the sorted ``times`` column."""
+        lo = 0 if start is None else bisect_left(self.times, start)
+        hi = len(self.times) if end is None else bisect_right(self.times, end)
+        rows: Sequence[int] = range(lo, hi)
+        if kind is not None:
+            code, kinds = KIND_CODES[kind], self.kinds
+            rows = [at for at in rows if kinds[at] == code]
+        if rejected is not None:
+            flag, flags = 1 if rejected else 0, self.rejected
+            rows = [at for at in rows if flags[at] == flag]
+        return rows
+
+    def record(
+        self, market: MarketID, at: int, outcome_names: list[str]
+    ) -> ProbeRecord:
+        """Row ``at`` as a ``ProbeRecord``."""
+        return ProbeRecord(
+            self.times[at], market, _KIND_OF[self.kinds[at]],
+            _TRIGGER_OF[self.triggers[at]], outcome_names[self.outcomes[at]],
+            self.spike_multiples[at], self.bid_prices[at], self.costs[at],
+            self.request_ids[at],
         )
-        self.kinds.fromlist([KIND_CODES[record.kind] for record in records])
-        self.triggers.fromlist(
-            [TRIGGER_CODES[record.trigger] for record in records]
-        )
-        self.rejected.fromlist([rejected_by_code[code] for code in outcome_codes])
-        self.outcomes.extend(outcome_codes)
 
 
 class ProbeDatabase:
@@ -197,11 +232,9 @@ class ProbeDatabase:
         #: the full snapshot (or tailing a full WAL) indexes only its
         #: slice of the catalog.
         self._market_filter = market_filter
-        self._probes_by_market: dict[MarketID, list[ProbeRecord]] = {}
-        self._probe_count = 0
-        self._all_probes_cache: list[ProbeRecord] | None = None
-        self._prices_by_market: dict[MarketID, TimeSeries] = {}
         self._probe_blocks: dict[MarketID, _ProbeColumnBlock] = {}
+        self._probe_count = 0
+        self._prices_by_market: dict[MarketID, TimeSeries] = {}
         self._outcome_codes: dict[str, int] = {}
         self._outcome_names: list[str] = []
         #: One ``MarketID`` per ``(zone, type, product)`` key seen by the
@@ -226,23 +259,20 @@ class ProbeDatabase:
         """Append a probe record (times must be non-decreasing per market)."""
         if not self.owns(record.market):
             return
-        per_market = self._probes_by_market.setdefault(record.market, [])
-        if per_market and record.time < per_market[-1].time:
+        block = self._probe_blocks.get(record.market)
+        if block is None:
+            block = self._probe_blocks[record.market] = _ProbeColumnBlock()
+        elif block.times and record.time < block.times[-1]:
             raise ValueError(
                 f"probe records must arrive in time order for {record.market}"
             )
-        per_market.append(record)
-        self._probe_count += 1
-        self._all_probes_cache = None
         code = self._outcome_codes.get(record.outcome)
         if code is None:
             code = len(self._outcome_names)
             self._outcome_codes[record.outcome] = code
             self._outcome_names.append(record.outcome)
-        block = self._probe_blocks.get(record.market)
-        if block is None:
-            block = self._probe_blocks[record.market] = _ProbeColumnBlock()
         block.append(record, code)
+        self._probe_count += 1
         if self._read_index is not None:
             self._read_index.invalidate_probes(record.market, record.kind)
 
@@ -329,7 +359,8 @@ class ProbeDatabase:
                 if run is _UNSEEN:
                     market = self._owned_market(key)
                     run = runs[key] = (
-                        None if market is None else (market, [], array("i"))
+                        None if market is None
+                        else (market, _ProbeColumnBlock())
                     )
                 if run is None:
                     continue
@@ -337,38 +368,37 @@ class ProbeDatabase:
                 if code is None:
                     code = codes[outcome] = len(names)
                     names.append(outcome)
-                run[1].append(ProbeRecord(
-                    float(time), run[0], _KINDS[kind], _TRIGGERS[trigger],
-                    names[code], float(spike_multiple), float(bid_price),
-                    float(cost), request_id,
-                ))
-                run[2].append(code)
+                block = run[1]
+                block.times.append(float(time))
+                block.spike_multiples.append(float(spike_multiple))
+                block.bid_prices.append(float(bid_price))
+                block.costs.append(float(cost))
+                block.kinds.append(_KIND_CODE_OF[kind])
+                block.triggers.append(_TRIGGER_CODE_OF[trigger])
+                block.outcomes.append(code)
+                block.request_ids.append(request_id)
         except KeyError as exc:
             raise ValueError(f"unknown probe kind or trigger {exc}") from None
         owned = [run for run in runs.values() if run is not None]
-        for market, records, _codes in owned:
-            existing = self._probes_by_market.get(market)
-            if _out_of_order(
-                [record.time for record in records],
-                existing[-1].time if existing else None,
-            ):
+        for market, run in owned:
+            block = self._probe_blocks.get(market)
+            if _out_of_order(run.times, block.times[-1] if block else None):
                 raise ValueError(
                     f"probe records must arrive in time order for {market}"
                 )
         self._outcome_codes, self._outcome_names = codes, names
         rejected = [0 if name == OUTCOME_FULFILLED else 1 for name in names]
-        for market, records, outcomes in owned:
-            self._probes_by_market.setdefault(market, []).extend(records)
+        for market, run in owned:
+            run.rejected.fromlist([rejected[code] for code in run.outcomes])
             block = self._probe_blocks.get(market)
             if block is None:
-                block = self._probe_blocks[market] = _ProbeColumnBlock()
-            block.extend(records, outcomes, rejected)
-            self._probe_count += len(records)
+                self._probe_blocks[market] = run
+            else:
+                block.extend(run)
+            self._probe_count += len(run.times)
             if self._read_index is not None:
-                for kind in {record.kind for record in records}:
-                    self._read_index.invalidate_probes(market, kind)
-        if owned:
-            self._all_probes_cache = None
+                for code in set(run.kinds):
+                    self._read_index.invalidate_probes(market, _KIND_OF[code])
 
     # -- raw queries -----------------------------------------------------------
     def __len__(self) -> int:
@@ -377,24 +407,42 @@ class ProbeDatabase:
     @property
     def markets(self) -> list[MarketID]:
         """All markets with at least one probe or price record."""
-        return sorted(set(self._probes_by_market) | set(self._prices_by_market))
+        return sorted(set(self._probe_blocks) | set(self._prices_by_market))
 
-    def _all_probes(self) -> list[ProbeRecord]:
-        """Every probe record, globally time-ordered (ties by market).
-
-        Derived by merging the per-market time-ordered lists; cached
-        until the next insert, so repeated analysis passes pay the merge
-        once.
-        """
-        if self._all_probes_cache is None:
-            per_market = [
-                self._probes_by_market[market]
-                for market in sorted(self._probes_by_market)
-            ]
-            self._all_probes_cache = list(
-                merge(*per_market, key=lambda record: record.time)
-            )
-        return self._all_probes_cache
+    def _ordered_rows(
+        self,
+        kind: ProbeKind | None = None,
+        rejected: bool | None = None,
+        start: float | None = None,
+        end: float | None = None,
+    ) -> list[tuple[MarketID, _ProbeColumnBlock, int]]:
+        """Every probe row passing the filters as ``(market, block,
+        index)``, globally time-ordered: a stable sort by time over the
+        blocks concatenated in sorted-market order, so ties go to the
+        lower market, then to arrival order."""
+        markets = sorted(self._probe_blocks)
+        blocks = [self._probe_blocks[market] for market in markets]
+        counts = [len(block.times) for block in blocks]
+        times = _joined((block.times for block in blocks), np.float64)
+        keep = np.ones(len(times), dtype=bool)
+        if kind is not None:
+            kinds = _joined((block.kinds for block in blocks), np.int8)
+            keep &= kinds == KIND_CODES[kind]
+        if rejected is not None:
+            flags = _joined((block.rejected for block in blocks), np.int8)
+            keep &= flags == (1 if rejected else 0)
+        if start is not None:
+            keep &= times >= start
+        if end is not None:
+            keep &= times <= end
+        rows = np.flatnonzero(keep)
+        rows = rows[np.argsort(times[rows], kind="stable")]
+        owners = np.repeat(np.arange(len(blocks)), counts)[rows]
+        ats = rows - _offsets(counts)[owners]
+        return [
+            (markets[owner], blocks[owner], at)
+            for owner, at in zip(owners.tolist(), ats.tolist())
+        ]
 
     def probes(
         self,
@@ -404,23 +452,22 @@ class ProbeDatabase:
         start: float | None = None,
         end: float | None = None,
     ) -> list[ProbeRecord]:
-        """Probe records filtered by market/kind/outcome/time range."""
-        if market is not None:
-            source = self._probes_by_market.get(market, [])
-        else:
-            source = self._all_probes()
-        out = []
-        for record in source:
-            if kind is not None and record.kind is not kind:
-                continue
-            if rejected is not None and record.rejected != rejected:
-                continue
-            if start is not None and record.time < start:
-                continue
-            if end is not None and record.time > end:
-                continue
-            out.append(record)
-        return out
+        """Probe records filtered by market/kind/outcome/time range,
+        built from the columns (one market's in arrival order, all
+        markets' globally time-ordered, ties by market)."""
+        names = self._outcome_names
+        if market is None:
+            return [
+                block.record(mkt, at, names)
+                for mkt, block, at in self._ordered_rows(kind, rejected, start, end)
+            ]
+        block = self._probe_blocks.get(market)
+        if block is None:
+            return []
+        return [
+            block.record(market, at, names)
+            for at in block.select(kind, rejected, start, end)
+        ]
 
     def prices(
         self,
@@ -466,15 +513,16 @@ class ProbeDatabase:
 
     def last_probes(self) -> dict[tuple[MarketID, ProbeKind], ProbeRecord]:
         """Each ``(market, kind)``'s latest probe record, located in the
-        packed kind column instead of a scan of the record list."""
+        packed kind column and built from its row alone."""
         latest: dict[tuple[MarketID, ProbeKind], ProbeRecord] = {}
         for market, block in self._probe_blocks.items():
             kinds = block.kinds.tobytes()
-            records = self._probes_by_market[market]
             for kind, code in _KIND_BYTES:
                 at = kinds.rfind(code)
                 if at >= 0:
-                    latest[(market, kind)] = records[at]
+                    latest[(market, kind)] = block.record(
+                        market, at, self._outcome_names
+                    )
         return latest
 
     def price_at(self, market: MarketID, when: float) -> float | None:
@@ -499,24 +547,28 @@ class ProbeDatabase:
         """
         markets = [market] if market is not None else self.markets
         periods: list[UnavailabilityPeriod] = []
+        code = KIND_CODES[kind]
         for mkt in markets:
+            block = self._probe_blocks.get(mkt)
+            if block is None:
+                continue
             run_start: float | None = None
             run_count = 0
             last_time = 0.0
-            for record in self._probes_by_market.get(mkt, []):
-                if record.kind is not kind:
+            for time, probe_kind, rejected in zip(
+                block.times, block.kinds, block.rejected
+            ):
+                if probe_kind != code:
                     continue
-                last_time = record.time
-                if record.rejected:
+                last_time = time
+                if rejected:
                     if run_start is None:
-                        run_start = record.time
+                        run_start = time
                         run_count = 0
                     run_count += 1
                 elif run_start is not None:
                     periods.append(
-                        UnavailabilityPeriod(
-                            mkt, kind, run_start, record.time, run_count
-                        )
+                        UnavailabilityPeriod(mkt, kind, run_start, time, run_count)
                     )
                     run_start = None
             if run_start is not None:
@@ -547,11 +599,9 @@ class ProbeDatabase:
         return self.read_index.durations_stack(kind, horizon)
 
     def total_probe_cost(self) -> float:
-        return sum(
-            record.cost
-            for records in self._probes_by_market.values()
-            for record in records
-        )
+        return sum(chain.from_iterable(
+            block.costs for block in self._probe_blocks.values()
+        ))
 
     def rejection_rate(
         self, market: MarketID | None = None, kind: ProbeKind | None = None
@@ -564,16 +614,27 @@ class ProbeDatabase:
 
     # -- persistence --------------------------------------------------------------------
     def export_probes_csv(self, path: str | Path) -> int:
-        """Write all probe records to CSV (time-ordered); returns the row count."""
-        rows = [record.to_row() for record in self._all_probes()]
-        path = Path(path)
-        with path.open("w", newline="") as handle:
+        """Write all probe records to CSV (time-ordered); returns the row
+        count.  A store without probes writes an empty file."""
+        rows = self._ordered_rows()
+        names = self._outcome_names
+        with Path(path).open("w", newline="") as handle:
             if not rows:
-                handle.write("")
                 return 0
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(handle)
+            writer.writerow(PROBE_CSV_FIELDS)
+            writer.writerows(
+                (
+                    block.times[at], market.availability_zone,
+                    market.instance_type, market.product,
+                    _KIND_OF[block.kinds[at]].value,
+                    _TRIGGER_OF[block.triggers[at]].value,
+                    names[block.outcomes[at]], block.spike_multiples[at],
+                    block.bid_prices[at], block.costs[at],
+                    block.request_ids[at],
+                )
+                for market, block, at in rows
+            )
         return len(rows)
 
     @classmethod

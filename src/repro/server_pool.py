@@ -51,6 +51,7 @@ import multiprocessing.connection
 import signal
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,7 +174,10 @@ def _snapshot_frontend(snapshot: str, cache_ttl: float):
 
 
 async def _worker_serve(
-    spec: _WorkerSpec, frontend: QueryFrontend, replica: "object | None" = None
+    spec: _WorkerSpec,
+    frontend: QueryFrontend,
+    startup: dict[str, float],
+    replica: "object | None" = None,
 ) -> None:
     shutdown = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -191,6 +195,7 @@ async def _worker_serve(
         stats_board=spec.board,
         replica=replica,
         frontend_lock=replica.lock if replica is not None else None,
+        startup=startup,
     )
     shard_count = getattr(spec, "shard_count", 0)
     if shard_count:
@@ -217,6 +222,39 @@ async def _worker_serve(
     )
 
 
+def prepare_to_serve(
+    frontend: QueryFrontend,
+    datastore,
+    follow: bool = False,
+    max_lag: int = 0,
+    poll_interval: float = 0.0,
+) -> tuple[dict[str, float], "object | None"]:
+    """Prime ``frontend`` (the first cold query must not pay the index
+    build) and, with ``follow``, seed a replica tailer over
+    ``datastore``.  Returns the start-up stage times for ``/stats``
+    (the datastore's load timings, ``prime_s`` and ``replica_seed_s``)
+    and the tailer, or None."""
+    startup = dict(datastore.load_timings)
+    started = time.perf_counter()
+    frontend.prime()
+    startup["prime_s"] = time.perf_counter() - started
+    if not follow:
+        return startup, None
+    from repro.ec2.catalog import default_catalog
+    from repro.replication import ReplicaTailer
+
+    started = time.perf_counter()
+    replica = ReplicaTailer(
+        datastore,
+        frontend,
+        catalog=default_catalog(),
+        max_lag=max_lag,
+        poll_interval=poll_interval,
+    )
+    startup["replica_seed_s"] = time.perf_counter() - started
+    return startup, replica
+
+
 def _worker_main(spec: _WorkerSpec) -> None:
     """Entry point of one pre-forked worker process."""
     # Hold off SIGINT/SIGTERM until the event loop's graceful handlers
@@ -225,20 +263,10 @@ def _worker_main(spec: _WorkerSpec) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     frontend, datastore = _snapshot_frontend(spec.snapshot, spec.cache_ttl)
-    frontend.prime()  # the first cold query must not pay the index build
-    replica = None
-    if spec.follow:
-        from repro.ec2.catalog import default_catalog
-        from repro.replication import ReplicaTailer
-
-        replica = ReplicaTailer(
-            datastore,
-            frontend,
-            catalog=default_catalog(),
-            max_lag=spec.max_lag,
-            poll_interval=spec.poll_interval,
-        )
-    asyncio.run(_worker_serve(spec, frontend, replica))
+    startup, replica = prepare_to_serve(
+        frontend, datastore, spec.follow, spec.max_lag, spec.poll_interval
+    )
+    asyncio.run(_worker_serve(spec, frontend, startup, replica))
 
 
 @dataclass
@@ -255,8 +283,6 @@ def _shard_worker_main(spec: _ShardSpec) -> None:
     those markets, and serve on the shard's own port."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    import time
-
     from repro.core.datastore import SnapshotDatastore
     from repro.core.query import SpotLightQuery
     from repro.core.shard import ShardMap
@@ -272,15 +298,13 @@ def _shard_worker_main(spec: _ShardSpec) -> None:
     frontend = QueryFrontend(
         SpotLightQuery(datastore, default_catalog()), cache_ttl=spec.cache_ttl
     )
-    started = time.perf_counter()
-    frontend.prime()
+    startup, _replica = prepare_to_serve(frontend, datastore)
     print(
         f"shard {spec.worker_id}/{spec.shard_count} primed "
-        f"{len(datastore.markets)} markets in "
-        f"{time.perf_counter() - started:.3f}s",
+        f"{len(datastore.markets)} markets in {startup['prime_s']:.3f}s",
         flush=True,
     )
-    asyncio.run(_worker_serve(spec, frontend))
+    asyncio.run(_worker_serve(spec, frontend, startup))
 
 
 def _reserve_port(host: str, port: int) -> tuple[socket.socket, int]:

@@ -1,15 +1,25 @@
 """Unit tests for the probe database."""
 
+import csv
+import heapq
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import ProbeDatabase
 from repro.core.market_id import MarketID
 from repro.core.records import (
     OUTCOME_FULFILLED,
+    PROBE_CSV_FIELDS,
     PriceRecord,
     ProbeKind,
     ProbeRecord,
     ProbeTrigger,
+    UnavailabilityPeriod,
 )
 
 M1 = MarketID("us-east-1a", "m3.large", "Linux/UNIX")
@@ -208,3 +218,156 @@ def test_markets_lists_everything(db):
     db.insert_probe(probe(0.0, market=M1))
     db.insert_price(PriceRecord(0.0, M2, 0.1))
     assert db.markets == sorted([M1, M2])
+
+
+# -- the column-built readers against a list-of-records reference ------------
+PROPERTY_MARKETS = [
+    MarketID("us-east-1a", "m3.large", "Linux/UNIX"),
+    MarketID("us-east-1a", "c3.large", "Linux/UNIX"),
+    MarketID("sa-east-1a", "c3.xlarge", "SUSE Linux"),
+    MarketID("sa-east-1b", "m3.large", "Windows"),
+]
+#: The shard predicate of the sharded histories.
+PROPERTY_SHARD = set(PROPERTY_MARKETS[1::2])
+
+_row = st.tuples(
+    st.integers(0, len(PROPERTY_MARKETS) - 1),
+    # Small gaps from a shared origin make cross-market time ties common.
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 300.0]),
+    st.sampled_from(list(ProbeKind)),
+    st.sampled_from(list(ProbeTrigger)),
+    st.sampled_from([OUTCOME_FULFILLED, REJ, "price-too-low", "held,by \"x\""]),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),  # costs whose float sum depends on the order
+    st.text(alphabet="ab,\"'\n\r ", max_size=5),  # request ids
+)
+#: A history: batches of rows, each written per row through
+#: ``insert_probe`` or as one CSV through ``append_probe_rows``.
+_batches = st.lists(
+    st.tuples(st.booleans(), st.lists(_row, max_size=12)), max_size=5
+)
+
+
+def _csv_text(records) -> str:
+    """Records as a probe CSV, written the way exports write them."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=PROBE_CSV_FIELDS)
+    writer.writeheader()
+    writer.writerows(record.to_row() for record in records)
+    return out.getvalue()
+
+
+def _reference_export(per_market) -> bytes:
+    """The list-of-records export: ``DictWriter`` over ``to_row()`` in
+    ``heapq.merge`` order (an empty file when there are no records)."""
+    ordered = list(heapq.merge(
+        *(per_market[market] for market in sorted(per_market)),
+        key=lambda record: record.time,
+    ))
+    return _csv_text(ordered).encode() if ordered else b""
+
+
+def _reference_periods(per_market, market, kind, horizon):
+    """Rejection runs walked over record lists."""
+    periods = []
+    for mkt in [market] if market is not None else sorted(per_market):
+        run_start, run_count, last_time = None, 0, 0.0
+        for record in per_market.get(mkt, []):
+            if record.kind is not kind:
+                continue
+            last_time = record.time
+            if record.rejected:
+                if run_start is None:
+                    run_start, run_count = record.time, 0
+                run_count += 1
+            elif run_start is not None:
+                periods.append(UnavailabilityPeriod(
+                    mkt, kind, run_start, record.time, run_count
+                ))
+                run_start = None
+        if run_start is not None:
+            end = horizon if horizon is not None else last_time
+            periods.append(UnavailabilityPeriod(
+                mkt, kind, run_start, max(end, run_start), run_count,
+                end_observed=False,
+            ))
+    periods.sort(key=lambda p: (p.start, p.market))
+    return periods
+
+
+class TestReadersAgainstRecordLists:
+    """Every probe reader built from the packed columns equals the same
+    reader over plain lists of ``ProbeRecord`` objects."""
+
+    @given(
+        batches=_batches,
+        sharded=st.booleans(),
+        bounds=st.tuples(st.floats(0.0, 1500.0), st.floats(0.0, 1500.0)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_readers_equal_the_record_list_reference(
+        self, batches, sharded, bounds
+    ):
+        owned = PROPERTY_SHARD.__contains__ if sharded else None
+        db = ProbeDatabase(owned)
+        per_market: dict[MarketID, list[ProbeRecord]] = {}
+        clock = dict.fromkeys(PROPERTY_MARKETS, 0.0)
+        for bulk, rows in batches:
+            records = []
+            for i, gap, kind, trigger, outcome, spike, bid, cost, rid in rows:
+                market = PROPERTY_MARKETS[i]
+                clock[market] += gap
+                records.append(ProbeRecord(
+                    clock[market], market, kind, trigger, outcome, spike,
+                    bid, cost, rid,
+                ))
+            if bulk:
+                reader = csv.reader(io.StringIO(_csv_text(records), newline=""))
+                db.append_probe_rows(next(reader), reader)
+            else:
+                for record in records:
+                    db.insert_probe(record)
+            for record in records:
+                if owned is None or owned(record.market):
+                    per_market.setdefault(record.market, []).append(record)
+
+        everything = list(heapq.merge(
+            *(per_market[market] for market in sorted(per_market)),
+            key=lambda record: record.time,
+        ))
+        assert len(db) == len(everything)
+        for market in [None, *PROPERTY_MARKETS]:
+            source = everything if market is None else per_market.get(market, [])
+            for kind in (None, *ProbeKind):
+                for rejected in (None, True, False):
+                    for start in (None, min(bounds)):
+                        for end in (None, max(bounds)):
+                            assert db.probes(
+                                market, kind, rejected, start, end
+                            ) == [
+                                record for record in source
+                                if (kind is None or record.kind is kind)
+                                and (rejected is None or record.rejected == rejected)
+                                and (start is None or record.time >= start)
+                                and (end is None or record.time <= end)
+                            ]
+
+        assert db.last_probes() == {
+            (market, record.kind): record
+            for market, records in per_market.items()
+            for record in records
+        }
+        for market in [None, *PROPERTY_MARKETS]:
+            for kind in ProbeKind:
+                for horizon in (None, max(bounds) + 2000.0):
+                    assert db.unavailability_periods(
+                        market, kind, horizon
+                    ) == _reference_periods(per_market, market, kind, horizon)
+        assert db.total_probe_cost() == sum(
+            record.cost for records in per_market.values() for record in records
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "probes.csv"
+            assert db.export_probes_csv(path) == len(everything)
+            assert path.read_bytes() == _reference_export(per_market)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -579,6 +580,19 @@ def _bulk_load(files, db: ProbeDatabase) -> ProbeDatabase:
     return db
 
 
+def _assert_same_block(got, want) -> None:
+    """Two probe column blocks hold equal columns of equal types (the
+    packed arrays, their typecodes, and the request-id list)."""
+    assert got.__slots__ == want.__slots__
+    for name in want.__slots__:
+        column = getattr(want, name)
+        loaded = getattr(got, name)
+        assert type(loaded) is type(column), name
+        if isinstance(column, array):
+            assert loaded.typecode == column.typecode, name
+        assert loaded == column, name
+
+
 def _assert_same_store(got: ProbeDatabase, want: ProbeDatabase) -> None:
     assert list(got._prices_by_market) == list(want._prices_by_market)
     for market, column in want._prices_by_market.items():
@@ -586,15 +600,10 @@ def _assert_same_store(got: ProbeDatabase, want: ProbeDatabase) -> None:
         for name in ("times", "values"):
             assert getattr(loaded, name).typecode == "d"
             assert getattr(loaded, name) == getattr(column, name), name
-    assert list(got._probes_by_market) == list(want._probes_by_market)
-    assert got._probes_by_market == want._probes_by_market
     assert list(got._probe_blocks) == list(want._probe_blocks)
     for market, block in want._probe_blocks.items():
-        loaded = got._probe_blocks[market]
-        for name in block.__slots__:
-            column = getattr(block, name)
-            assert getattr(loaded, name).typecode == column.typecode, name
-            assert getattr(loaded, name) == column, name
+        assert got.probes(market) == want.probes(market)
+        _assert_same_block(got._probe_blocks[market], block)
     assert got._outcome_names == want._outcome_names
     assert got._outcome_codes == want._outcome_codes
     assert len(got) == len(want)
@@ -783,8 +792,8 @@ class TestBulkLoad:
         objects: dict[MarketID, set[int]] = {}
         holders = [
             *reloaded._prices_by_market,
-            *reloaded._probes_by_market,
             *reloaded._probe_blocks,
+            *(market for market, _kind in reloaded.last_probes()),
             *(record.market for record in reloaded.probes()),
         ]
         for market in holders:

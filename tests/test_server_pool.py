@@ -21,7 +21,7 @@ from repro.core.records import (
     ProbeTrigger,
 )
 from repro.ec2.catalog import default_catalog
-from repro.server_pool import BOARD_FIELDS, WorkerPool
+from repro.server_pool import BOARD_FIELDS, ShardCluster, WorkerPool
 
 MARKETS = [
     MarketID(zone, itype, "Linux/UNIX")
@@ -125,6 +125,44 @@ def test_board_rows_sum_to_aggregate(pool):
     aggregate = board.aggregate()
     for field in BOARD_FIELDS:
         assert aggregate[field] == board.row(0)[field] + board.row(1)[field]
+
+
+STARTUP_STAGES = {"verify_s", "load_s", "prime_s"}
+
+
+def _startup_by_worker(address, workers: int) -> dict[int, dict]:
+    """Each worker's ``/stats`` ``startup`` block, over fresh
+    connections until every worker has answered one."""
+    seen: dict[int, dict] = {}
+    for _ in range(400):
+        with SpotLightClient(*address) as client:
+            stats = client.stats()
+        seen[stats["worker"]] = stats["startup"]
+        if len(seen) == workers:
+            break
+    return seen
+
+
+@pytest.mark.parametrize("follow", [False, True])
+def test_every_worker_reports_startup_stages(snapshot, follow):
+    with WorkerPool(snapshot, workers=2, follow=follow) as running:
+        seen = _startup_by_worker(running.address, 2)
+    assert seen.keys() == {0, 1}
+    stages = STARTUP_STAGES | {"replica_seed_s"} if follow else STARTUP_STAGES
+    for startup in seen.values():
+        assert startup.keys() == stages
+        assert all(
+            isinstance(seconds, float) and seconds >= 0.0
+            for seconds in startup.values()
+        )
+
+
+def test_every_shard_reports_startup_stages(snapshot):
+    with ShardCluster(snapshot, shards=2) as cluster:
+        for shard, address in enumerate(cluster.shard_addresses):
+            startup = _startup_by_worker(address, 1)[shard]
+            assert startup.keys() == STARTUP_STAGES
+            assert all(seconds >= 0.0 for seconds in startup.values())
 
 
 def test_pool_rejects_missing_snapshot(tmp_path):
