@@ -10,8 +10,10 @@ full ~4,100-market catalog — for both engine paths:
   lazy index build (what the first query after a snapshot load pays
   when the server skipped ``prime()``);
 * **vectorized warm** — the index already built, caches hot at the
-  engine level (every query still computes; nothing is memoized above
-  the index).
+  engine level; the index keeps each ranking's metrics on its price
+  view, so a repeat ranking over unchanged data reruns no kernel and
+  only materializes the top entries (nothing is memoized above the
+  index).
 
 Results merge into ``BENCH_query.json`` at the repository root when
 refreshed (see ``harness.py``)::

@@ -511,17 +511,20 @@ class ProbeDatabase:
             if column.times
         }
 
-    def last_probes(self) -> dict[tuple[MarketID, ProbeKind], ProbeRecord]:
-        """Each ``(market, kind)``'s latest probe record, located in the
-        packed kind column and built from its row alone."""
-        latest: dict[tuple[MarketID, ProbeKind], ProbeRecord] = {}
+    def last_probe_states(
+        self,
+    ) -> dict[tuple[MarketID, ProbeKind], tuple[float, bool]]:
+        """Each ``(market, kind)``'s latest probe as ``(time, rejected)``,
+        located in the packed kind column and read off the ``times`` and
+        ``rejected`` columns (no record objects)."""
+        latest: dict[tuple[MarketID, ProbeKind], tuple[float, bool]] = {}
         for market, block in self._probe_blocks.items():
             kinds = block.kinds.tobytes()
             for kind, code in _KIND_BYTES:
                 at = kinds.rfind(code)
                 if at >= 0:
-                    latest[(market, kind)] = block.record(
-                        market, at, self._outcome_names
+                    latest[(market, kind)] = (
+                        block.times[at], block.rejected[at] == 1
                     )
         return latest
 

@@ -9,7 +9,8 @@ equal to the corresponding on-demand price over the past week".
 :class:`SpotLightQuery` is the read-only half of the serving path:
 pure reads over a datastore and a catalog, no result caching, no
 session state.  It does keep internal *read-through* caches (the
-database's columnar read index and an on-demand-price table), so while
+database's columnar read index, the per-market ranking metrics the
+index keeps on its price views, and an on-demand-price table), so while
 it is cheap to construct per request, **sharing one instance across
 threads requires external serialization** — the serving tier runs all
 engine work behind one lock, and the multi-process tier gives every
@@ -23,7 +24,9 @@ Two execution paths answer every query:
   are zero-copy slices of cached snapshots, availability comes from
   period columns, and the catalog-wide ranking is one stacked kernel
   (:func:`~repro.core.read_index.stability_metrics`) instead of an
-  O(markets x samples) per-market loop;
+  O(markets x samples) per-market loop — after a commit, rerun only
+  over the markets it appended to
+  (:meth:`~repro.core.read_index.ReadIndex.stability_ranking`);
 * the **scalar reference** path (``vectorized=False``) is the original
   per-record implementation, kept as the readable specification.  The
   golden tests in ``tests/test_query_vectorized.py`` pin the two paths
@@ -74,12 +77,6 @@ class SpotLightQuery:
         self._catalog = catalog
         self._vectorized = vectorized and hasattr(database, "read_index")
         self._od_cache: dict[MarketID, float] = {}
-        # On-demand price vectors keyed by the identity of a stack's
-        # markets tuple (the index keeps one tuple across the stacks it
-        # splices forward on price inserts, so a splice reuses the
-        # vector); bounded, cleared wholesale when full.  Entries pin
-        # their tuple, which keeps id() unambiguous.
-        self._od_vectors: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def rebind(self, database: ProbeDatabase) -> None:
         """Swap the underlying database and drop every read-through
@@ -89,7 +86,6 @@ class SpotLightQuery:
         self._db = database
         self._vectorized = self._vectorized and hasattr(database, "read_index")
         self._od_cache.clear()
-        self._od_vectors.clear()
 
     # -- pricing helpers -----------------------------------------------------
     def on_demand_price(self, market: MarketID) -> float:
@@ -364,17 +360,6 @@ class SpotLightQuery:
             return self._vec_top_stable_markets(n, bid_multiple, start, end, region)
         return self._ref_top_stable_markets(n, bid_multiple, start, end, region)
 
-    def _od_prices_for(self, stack) -> np.ndarray:
-        markets = stack.markets
-        entry = self._od_vectors.get(id(markets))
-        if entry is not None and entry[0] is markets:
-            return entry[1]
-        prices = np.asarray([self.on_demand_price(m) for m in markets])
-        if len(self._od_vectors) >= 8:
-            self._od_vectors.clear()
-        self._od_vectors[id(markets)] = (markets, prices)
-        return prices
-
     def _vec_top_stable_markets(
         self,
         n: int,
@@ -384,27 +369,24 @@ class SpotLightQuery:
         region: str | None,
     ) -> list[MarketStability]:
         index = self._db.read_index
-        stack = index.price_stack()
+        selected = None
         if region is not None:
-            selected = [m for m in stack.markets if m.region == region]
-            if len(selected) != len(stack.markets):
-                stack = index.price_stack(selected)
-        if not stack.markets:
-            return []
-        bids = bid_multiple * self._od_prices_for(stack)
-        mttr, avail, mean_price = stability_metrics(stack, bids, start, end)
-        # Stable lexsort == the reference's stable tuple sort: primary
-        # -mttr, then -availability, then mean price, catalog order on
-        # full ties.  Only the top n entries are materialized.
-        order = np.lexsort((mean_price, -avail, -mttr))
+            markets = index.price_stack().markets
+            selected = [m for m in markets if m.region == region]
+            if len(selected) == len(markets):
+                selected = None
+        stack, ranking = index.stability_ranking(
+            self.on_demand_price, bid_multiple, start, end, selected
+        )
+        # Only the top n entries are materialized.
         return [
             MarketStability(
                 market=stack.markets[i],
-                mean_time_to_revocation=float(mttr[i]),
-                availability_at_bid=float(avail[i]),
-                mean_price=float(mean_price[i]),
+                mean_time_to_revocation=float(ranking.mttr[i]),
+                availability_at_bid=float(ranking.avail[i]),
+                mean_price=float(ranking.mean_price[i]),
             )
-            for i in order[:n].tolist()  # list-slice semantics, like [:n]
+            for i in ranking.order[:n].tolist()  # list-slice semantics, like [:n]
         ]
 
     def _ref_top_stable_markets(

@@ -30,6 +30,14 @@ segment, :meth:`ReadIndex.reset` — rebuilds from scratch.  Views handed
 out are snapshot copies — a splice makes new arrays, so a view stays
 valid across later inserts — and a stale view is never served.
 
+Each price view also caches the rankings computed over it
+(:meth:`ReadIndex.stability_ranking`): per ``(bid, window)`` key, the
+per-market metric vectors, their order, and the view offsets they were
+computed at.  After splices, only the segments whose lengths changed
+are rerun and scattered into copies of the vectors — a market's metrics
+depend only on its own segment, bid and window — so the answer is the
+bits of a full pass; a rebuilt view starts with no rankings.
+
 The heavy ranking kernel (:func:`stability_metrics`) computes
 mean-time-to-revocation, availability-at-bid, and time-weighted mean
 price for *all* markets at once.  Per-segment reductions use
@@ -41,7 +49,7 @@ catalog-wide running total.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -442,16 +450,40 @@ def _splice_tails(
     ]
 
 
-class _CachedView:
-    """A cached catalog-wide view, its market ordinals, and the markets
-    appended to since the view was made."""
+#: Rankings cached per price view; the oldest is dropped past this.
+_RANKINGS_PER_VIEW = 16
 
-    __slots__ = ("view", "ordinals", "dirty")
+
+class Ranking:
+    """One ranking's per-market metric vectors, their lexsort order, and
+    the view offsets they were computed at (not the view itself, so the
+    superseded price columns are not pinned)."""
+
+    __slots__ = ("offsets", "mttr", "avail", "mean_price", "order")
+
+    def __init__(self, offsets, mttr, avail, mean_price) -> None:
+        self.offsets = offsets
+        self.mttr = mttr
+        self.avail = avail
+        self.mean_price = mean_price
+        # Stable lexsort == the reference's stable tuple sort: primary
+        # -mttr, then -availability, then mean price, catalog order on
+        # full ties.
+        self.order = np.lexsort((mean_price, -avail, -mttr))
+
+
+class _CachedView:
+    """A cached catalog-wide view, its market ordinals, the markets
+    appended to since the view was made, and (price views only) the
+    rankings computed over it."""
+
+    __slots__ = ("view", "ordinals", "dirty", "rankings")
 
     def __init__(self, view) -> None:
         self.view = view
         self.ordinals = {m: i for i, m in enumerate(view.markets)}
         self.dirty: set[MarketID] = set()
+        self.rankings: dict[tuple, Ranking] = {}
 
     def grown(self, length_of) -> list[tuple[int, int, int]] | None:
         """``(ordinal, old_length, new_length)`` per appended segment, in
@@ -522,6 +554,8 @@ class ReadIndex:
         self.price_stack_splices = 0
         self.probe_columns_builds = 0
         self.probe_columns_splices = 0
+        self.ranking_full_passes = 0
+        self.ranking_segments_recomputed = 0
 
     # -- invalidation hooks (called by the database on insert) --------------
     def invalidate_probes(self, market: MarketID, kind: ProbeKind) -> None:
@@ -540,9 +574,10 @@ class ReadIndex:
                 entry.dirty.add(market)
 
     def stats(self) -> dict[str, int]:
-        """Invalidation counters, warm-view counts, and how often the
-        catalog-wide views were rebuilt versus spliced — how much of the
-        index survives a stream of replicated inserts."""
+        """Invalidation counters, warm-view counts, how often the
+        catalog-wide views were rebuilt versus spliced, and how many
+        rankings ran over every market versus only the grown segments —
+        how much of the index survives a stream of replicated inserts."""
         return {
             "probe_invalidations": self.probe_invalidations,
             "price_invalidations": self.price_invalidations,
@@ -552,6 +587,8 @@ class ReadIndex:
             "price_stack_splices": self.price_stack_splices,
             "probe_columns_builds": self.probe_columns_builds,
             "probe_columns_splices": self.probe_columns_splices,
+            "ranking_full_passes": self.ranking_full_passes,
+            "ranking_segments_recomputed": self.ranking_segments_recomputed,
         }
 
     def reset(self) -> None:
@@ -676,12 +713,65 @@ class ReadIndex:
         (e.g. one region's markets).  Both are cached and spliced
         forward on price inserts, so repeated region-filtered rankings
         do not re-concatenate their segment on every call."""
+        return self._stack_entry(markets).view
+
+    def stability_ranking(
+        self,
+        on_demand: Callable[[MarketID], float],
+        bid_multiple: float,
+        start: float = 0.0,
+        end: float | None = None,
+        markets: Iterable[MarketID] | None = None,
+    ) -> tuple[PriceStack, Ranking]:
+        """:func:`stability_metrics` over :meth:`price_stack`, at a bid of
+        ``bid_multiple x on_demand(market)``, with its ranking order.
+
+        Cached on the view per ``(on_demand, bid_multiple, start, end)``.
+        A market's metrics depend only on its own segment, its bid and
+        the window, and segments only grow, so after a splice only the
+        segments whose lengths changed are rerun (over a stack of just
+        those markets) and scattered into copies of the cached vectors:
+        the same bits as a full pass.  A rebuilt view starts empty.
+        """
+        entry = self._stack_entry(markets)
+        stack = entry.view
+
+        def metrics(part: PriceStack) -> tuple[np.ndarray, ...]:
+            bids = bid_multiple * np.asarray([on_demand(m) for m in part.markets])
+            return stability_metrics(part, bids, start, end)
+
+        key = (on_demand, bid_multiple, start, end)
+        cached = entry.rankings.pop(key, None)
+        if cached is None:
+            self.ranking_full_passes += 1
+            cached = Ranking(stack.offsets, *metrics(stack))
+        elif cached.offsets is not stack.offsets:
+            grown = np.flatnonzero(np.diff(cached.offsets) != stack.counts)
+            self.ranking_segments_recomputed += len(grown)
+            part = self._build_stack(tuple(stack.markets[i] for i in grown.tolist()))
+            vectors = []
+            for vector, values in zip(
+                (cached.mttr, cached.avail, cached.mean_price), metrics(part)
+            ):
+                vector = vector.copy()
+                vector[grown] = values
+                vectors.append(vector)
+            cached = Ranking(stack.offsets, *vectors)
+        if len(entry.rankings) >= _RANKINGS_PER_VIEW:
+            del entry.rankings[next(iter(entry.rankings))]
+        entry.rankings[key] = cached  # most recently used last
+        return stack, cached
+
+    def _stack_entry(
+        self, markets: Iterable[MarketID] | None
+    ) -> _CachedView:
+        """The current full-catalog (or ``markets``) price view."""
         if markets is not None:
             key = tuple(markets)
             entry = self._substacks.get(key)
             if entry is None or entry.dirty:
                 entry = self._substacks[key] = self._refreshed_stack(entry, key)
-            return entry.view
+            return entry
         entry = self._stack
         if entry is None or entry.dirty:
             refreshed = self._refreshed_stack(entry, None)
@@ -690,7 +780,7 @@ class ReadIndex:
                 # a rebuilt market set retires them.
                 self._substacks.clear()
             entry = self._stack = refreshed
-        return entry.view
+        return entry
 
     def _refreshed_stack(
         self, entry: _CachedView | None, markets: tuple[MarketID, ...] | None

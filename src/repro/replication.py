@@ -443,7 +443,7 @@ def latest_record_time(store) -> float:
     return max([
         0.0,
         *(when for when, _price in store.last_prices().values()),
-        *(record.time for record in store.last_probes().values()),
+        *(when for when, _rejected in store.last_probe_states().values()),
     ])
 
 
@@ -654,8 +654,8 @@ class ReplicaTailer:
         the first tailed row emits a *transition*, not a replay of
         history."""
         self._avail = {
-            key: record.rejected
-            for key, record in self.store.last_probes().items()
+            key: rejected
+            for key, (_when, rejected) in self.store.last_probe_states().items()
         }
         self._above = {
             market: self._is_spike(market, price)

@@ -353,8 +353,8 @@ class TestReadersAgainstRecordLists:
                                 and (end is None or record.time <= end)
                             ]
 
-        assert db.last_probes() == {
-            (market, record.kind): record
+        assert db.last_probe_states() == {
+            (market, record.kind): (record.time, record.rejected)
             for market, records in per_market.items()
             for record in records
         }

@@ -793,7 +793,7 @@ class TestBulkLoad:
         holders = [
             *reloaded._prices_by_market,
             *reloaded._probe_blocks,
-            *(market for market, _kind in reloaded.last_probes()),
+            *(market for market, _kind in reloaded.last_probe_states()),
             *(record.market for record in reloaded.probes()),
         ]
         for market in holders:

@@ -33,6 +33,7 @@ from repro.common.timeseries import TimeSeries
 from repro.core.database import ProbeDatabase
 from repro.core.market_id import MarketID
 from repro.core.query import SpotLightQuery
+from repro.core.read_index import stability_metrics
 from repro.core.records import (
     OUTCOME_FULFILLED,
     PriceRecord,
@@ -418,6 +419,14 @@ _op = st.one_of(
         st.sampled_from([OUTCOME_FULFILLED, REJECTED, "capacity-not-available"]),
     ),
     st.tuples(st.just("substack"), st.sets(_market)),
+    st.tuples(
+        st.just("rank"),
+        st.sampled_from([0.2, 1.0, 4.0]),  # bid multiple
+        st.sampled_from([(0.0, None), (300.0, 2500.0), (1200.0, None),
+                         (5000.0, 100.0)]),
+        st.sampled_from([None, "us-east-1", "sa-east-1", "eu-west-1"]),
+        st.sampled_from([-1, 0, 1, 3, 100]),
+    ),
     st.tuples(st.just("hold")),
     st.tuples(st.just("check")),
     st.tuples(st.just("reset")),
@@ -474,6 +483,7 @@ class TestSplicedViews:
             insert(probe(market, clock[market], ProbeKind.ON_DEMAND, REJECTED))
         engine = SpotLightQuery(db, catalog)
         engine.prime()
+        reference = SpotLightQuery(db, catalog, vectorized=False)
         index = db.read_index
         # Views held across later inserts, and their bytes when taken.
         held: list = []
@@ -533,6 +543,41 @@ class TestSplicedViews:
                 _assert_same_columns(view, index._build_stack(key))
                 held.append(view)
                 held_before.append(_snapshot(view))
+            elif op[0] == "rank":
+                _, bid_multiple, (start, end), region, n = op
+                kwargs = dict(bid_multiple=bid_multiple, start=start,
+                              end=end, region=region)
+                got = engine.top_stable_markets(n, **kwargs)
+                want = reference.top_stable_markets(n, **kwargs)
+                assert [e.market for e in got] == [e.market for e in want]
+                for a, b in zip(got, want):
+                    assert kernel_close(
+                        a.mean_time_to_revocation, b.mean_time_to_revocation
+                    )
+                    assert kernel_close(a.availability_at_bid, b.availability_at_bid)
+                    assert kernel_close(a.mean_price, b.mean_price)
+                # Every ranking cached on any view, brought current, is
+                # the bits of a full pass over a freshly built stack.
+                index.price_stack()  # a rebuild here retires the substacks
+                views = [(None, index._stack), *index._substacks.items()]
+                for markets, entry in views:
+                    for key in list(entry.rankings):
+                        on_demand, multiple, lo, hi = key
+                        stack, ranking = index.stability_ranking(
+                            on_demand, multiple, lo, hi, markets
+                        )
+                        bids = multiple * np.asarray(
+                            [on_demand(m) for m in stack.markets]
+                        )
+                        full = stability_metrics(
+                            index._build_stack(stack.markets), bids, lo, hi
+                        )
+                        cached = (ranking.mttr, ranking.avail, ranking.mean_price)
+                        for got_vector, want in zip(cached, full, strict=True):
+                            assert got_vector.tobytes() == want.tobytes()
+                        assert ranking.order.tolist() == np.lexsort(
+                            (full[2], -full[1], -full[0])
+                        ).tolist()
             elif op[0] == "hold":
                 held.extend((index.price_stack(), index.probe_columns()))
                 held_before.extend(_snapshot(view) for view in held[-2:])
@@ -544,6 +589,45 @@ class TestSplicedViews:
         for view, before in zip(held, held_before, strict=True):
             after = _snapshot(view)
             assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    def test_rankings_rerun_only_the_grown_segments(self):
+        """Commits of three markets each: every cached ranking reruns
+        just the grown segments in its view, and answers what a full
+        pass over the same records does, to the bit."""
+        db, _ = build_database(4)
+        catalog = default_catalog()
+        engine = SpotLightQuery(db, catalog)
+        engine.prime()
+        index = db.read_index
+        rankings = [
+            {},
+            {"bid_multiple": 0.4, "start": 1500.0, "end": 20000.0},
+            {"region": "sa-east-1"},
+        ]
+        for kwargs in rankings:
+            engine.top_stable_markets(n=100, **kwargs)
+        priced = index.price_stack().markets
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            chosen = [priced[i] for i in rng.choice(len(priced), 3, replace=False)]
+            for market in chosen:
+                when, price = db.last_prices()[market]
+                db.insert_price(PriceRecord(
+                    when + float(rng.exponential(700.0)), market,
+                    price * float(rng.uniform(0.3, 3.0)),
+                ))
+            before = index.stats()
+            for kwargs in rankings:
+                full_pass = SpotLightQuery(db, catalog)  # no cached ranking
+                assert engine.top_stable_markets(n=100, **kwargs) == (
+                    full_pass.top_stable_markets(n=100, **kwargs)
+                )
+            after = index.stats()
+            assert after["ranking_full_passes"] - before["ranking_full_passes"] == 3
+            in_region = sum(m.region == "sa-east-1" for m in chosen)
+            assert after["ranking_segments_recomputed"] - (
+                before["ranking_segments_recomputed"]
+            ) == 3 + 3 + in_region
 
     def test_tails_of_segments_ending_together_keep_segment_order(self):
         """Empty segments end where their predecessor does; markets that

@@ -518,7 +518,8 @@ class TestReplicaTailer:
     def test_tailed_appends_splice_the_read_index(self, tmp_path):
         """A commit touching three markets is spliced into the primed
         catalog-wide views: the next ranking and rejection count build
-        nothing anew, and ``stats()`` reports it."""
+        nothing anew, the ranking reruns just those three markets, and
+        ``stats()`` reports it."""
         markets = [M1, M2, MarketID("sa-east-1a", "c3.large", "Linux/UNIX")]
         writer, recorder, tailer = _pair(tmp_path / "state")
         for market in markets:
@@ -529,6 +530,7 @@ class TestReplicaTailer:
         tailer.step()
         engine = SpotLightQuery(tailer.store, default_catalog())
         engine.prime()
+        engine.top_stable_markets(n=3)
         before = tailer.stats()["read_index"]
         for market in markets:
             writer.insert_price(PriceRecord(3.0, market, 0.5))
@@ -545,6 +547,10 @@ class TestReplicaTailer:
             before["probe_columns_splices"] + 1
         )
         assert after["price_invalidations"] - before["price_invalidations"] == 3
+        assert after["ranking_full_passes"] == before["ranking_full_passes"] == 1
+        assert after["ranking_segments_recomputed"] == (
+            before["ranking_segments_recomputed"] + 3
+        )
         writer.close()
 
 
