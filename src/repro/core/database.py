@@ -101,7 +101,7 @@ _KIND_BYTES = [(kind, bytes([code])) for kind, code in KIND_CODES.items()]
 _UNSEEN = object()
 
 
-def _pick_columns(header: Sequence[str], fields: Sequence[str]) -> itemgetter:
+def pick_columns(header: Sequence[str], fields: Sequence[str]) -> itemgetter:
     """A getter returning a row's ``fields`` cells, located by header
     name (WAL files carry a trailing ``crc`` column; legacy files may
     order or extend the columns differently)."""
@@ -295,7 +295,7 @@ class ProbeDatabase:
     # but parses straight into per-market columns.  Every market's run
     # is checked before anything is installed, so a rejected file
     # leaves the store as it was.  Nothing here writes a WAL.
-    def _owned_market(self, key: tuple[str, str, str]) -> MarketID | None:
+    def owned_market(self, key: tuple[str, str, str]) -> MarketID | None:
         """The interned ``MarketID`` for ``key``, or None if the shard
         filter rejects it."""
         market = self._market_ids.get(key)
@@ -310,13 +310,13 @@ class ProbeDatabase:
         self, header: Sequence[str], rows: Iterable[Sequence[str]]
     ) -> None:
         """Bulk :meth:`insert_price` over price-CSV rows."""
-        pick = _pick_columns(header, PRICE_CSV_FIELDS)
+        pick = pick_columns(header, PRICE_CSV_FIELDS)
         runs: dict[tuple[str, str, str], tuple | None] = {}
         for time, zone, itype, product, price in map(pick, filter(None, rows)):
             key = (zone, itype, product)
             run = runs.get(key, _UNSEEN)
             if run is _UNSEEN:
-                market = self._owned_market(key)
+                market = self.owned_market(key)
                 run = runs[key] = (
                     None if market is None
                     else (market, array("d"), array("d"))
@@ -345,7 +345,7 @@ class ProbeDatabase:
     ) -> None:
         """Bulk :meth:`insert_probe` over probe-CSV rows.  Outcome codes
         are assigned in row order, as per-row inserts would."""
-        pick = _pick_columns(header, PROBE_CSV_FIELDS)
+        pick = pick_columns(header, PROBE_CSV_FIELDS)
         codes = dict(self._outcome_codes)
         names = list(self._outcome_names)
         runs: dict[tuple[str, str, str], tuple | None] = {}
@@ -357,7 +357,7 @@ class ProbeDatabase:
                 key = (zone, itype, product)
                 run = runs.get(key, _UNSEEN)
                 if run is _UNSEEN:
-                    market = self._owned_market(key)
+                    market = self.owned_market(key)
                     run = runs[key] = (
                         None if market is None
                         else (market, _ProbeColumnBlock())

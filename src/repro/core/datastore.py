@@ -27,6 +27,10 @@ Crash-safety on top of that layout (see RELIABILITY.md):
 * every WAL row carries a **CRC32 checksum column**; a load stops at
   the first torn or garbled row and recovers every complete record
   before it (the torn tail is trimmed so later appends stay parseable);
+* the WAL has one reader, :class:`WalCursor`: a load drains it into
+  the bulk ``append_*_rows`` appenders, and a live replica
+  (:mod:`repro.replication`) polls one per WAL and applies what it
+  reads through the same appenders;
 * the manifest records **SHA-256 checksums** of the snapshot files it
   commits, plus the identity of the *previous* generation — whose
   snapshot **and WAL are retained until the next save** — so a load
@@ -72,6 +76,11 @@ _SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
 _MANIFEST = "manifest.json"
 _MANIFEST_PREV = "manifest.prev.json"
+
+#: Upper bound on bytes a single cursor poll frames (keeps one slow
+#: poll from buffering an arbitrarily large backlog at once; the next
+#: poll simply continues from the advanced offset).
+_MAX_POLL_BYTES = 4 << 20
 
 #: Separator joining a WAL row's cells for its CRC (a byte that cannot
 #: appear inside a CSV cell's text).
@@ -173,41 +182,115 @@ class _CsvAppender:
         self.handle.close()
 
 
-def _read_wal(path: Path) -> tuple[list[str], list[list[str]], int]:
-    """Read a WAL's complete records: ``(header, rows, dropped)``.
+class WalCursor:
+    """The WAL reader: incrementally read complete, CRC-verified rows.
 
-    Stops at the first row that is short, over-long, or fails its CRC —
-    everything from there on is a torn or garbled tail (CSV framing
-    cannot be trusted past it) and is counted in ``dropped``.
+    A load drains one to replay a WAL; a replica polls one per WAL.
+    :meth:`read` returns ``(header, rows)``, both without the ``crc``
+    column, framed as ``csv.writer`` wrote them (a ``csv.reader`` over
+    complete lines, so a quoted newline stays inside its cell).  The
+    cursor never trusts anything past the first incomplete or garbled
+    row — a record mid-append, or a torn tail the writer will trim —
+    so it holds there *without advancing*.  ``offset`` is the byte
+    offset just past the last verified row; the file is re-opened on
+    every poll, so a writer-side trim (tmp + replace) is transparent.
     """
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header:
-            return [], [], 0
-        has_crc = header[-1:] == ["crc"]
-        expected = len(header)
-        rows: list[list[str]] = []
-        dropped = 0
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.rows = 0       # verified rows consumed so far
+        self.offset = 0     # byte offset just past the last verified row
+        self.header: list[str] = []
+        self.has_crc = False
+        self.holds = 0      # polls that stopped at an unverifiable row
+        self.rescans = 0    # realignments after the file shrank
+
+    def read(
+        self, max_rows: int | None = None
+    ) -> tuple[list[str], list[list[str]]]:
+        """Up to ``max_rows`` verified rows (all of one poll window when
+        None); no rows when nothing new is durable."""
+        try:
+            size = self.path.stat().st_size
+        except OSError:
+            return self.header, []
+        if size < self.offset:
+            # The file shrank below a verified position: a rewrite this
+            # cursor cannot reconcile row by row.  Realign from the top.
+            target = self.rows
+            self.header, self.offset, self.rows = [], 0, 0
+            self.rescans += 1
+            self.advance(target)
+        rows = self._scan(max_rows)  # reads the header on a first poll
+        return self.header, rows
+
+    def advance(self, target: int) -> int:
+        """Consume verified rows until ``target`` have been read, or the
+        verified data runs out; returns :attr:`rows`."""
+        while self.rows < target and self.read(target - self.rows)[1]:
+            pass
+        return self.rows
+
+    def _scan(self, max_rows: int | None) -> list[list[str]]:
+        try:
+            handle = self.path.open("rb")
+        except OSError:
+            return []
+        with handle:
+            if not self.header:
+                head = handle.readline()
+                header = next(csv.reader([head.decode(errors="replace")]), [])
+                if not head.endswith(b"\n") or not header:
+                    return []  # header itself not fully written yet
+                self.has_crc = header[-1] == "crc"
+                self.header = header[:-1] if self.has_crc else header
+                self.offset = handle.tell()
+            # A poll frames at most _MAX_POLL_BYTES, more only when not
+            # even one complete row fits.
+            window = _MAX_POLL_BYTES
+            while True:
+                handle.seek(self.offset)
+                data = handle.read(window)
+                holds = self.holds
+                rows = self._frame(data.split(b"\n")[:-1], max_rows)
+                if rows or len(data) < window or self.holds > holds:
+                    return rows
+                window *= 2
+
+    def _frame(self, lines: list[bytes], max_rows: int | None) -> list[list[str]]:
+        """Verified rows off the start of ``lines`` (complete lines)."""
+        exhausted = []
+
+        def feed():
+            for line in lines:
+                yield line.decode(errors="replace") + "\n"
+            exhausted.append(True)
+
+        reader = csv.reader(feed())
+        out: list[list[str]] = []
+        spanned = 0  # lines the verified rows span
         try:
             for row in reader:
-                if len(row) != expected:
-                    dropped = 1 + sum(1 for _ in reader)
-                    break
-                if has_crc:
+                if exhausted:
+                    break  # a quoted cell still being written
+                ok = len(row) == len(self.header) + self.has_crc
+                if ok and self.has_crc:
                     try:
-                        ok = int(row[-1]) == _row_crc(row[:-1])
+                        ok = int(row.pop()) == _row_crc(row)
                     except ValueError:
                         ok = False
-                    if not ok:
-                        dropped = 1 + sum(1 for _ in reader)
-                        break
-                rows.append(row)
+                if not ok:
+                    self.holds += 1  # torn or garbled: hold position
+                    break
+                out.append(row)
+                spanned = reader.line_num
+                if len(out) == max_rows:
+                    break
         except csv.Error:
-            # The tail is so mangled the CSV layer itself gave up;
-            # everything verified so far still stands.
-            dropped = max(dropped, 1)
-        return header, rows, dropped
+            self.holds += 1
+        self.offset += sum(map(len, lines[:spanned])) + spanned
+        self.rows += len(out)
+        return out
 
 
 class SnapshotDatastore(ProbeDatabase):
@@ -596,32 +679,36 @@ class SnapshotDatastore(ProbeDatabase):
             ("prices", self.append_price_rows),
         ):
             path = self._wal_path(kind, generation)
-            if not path.exists() or path.stat().st_size == 0:
+            if not path.exists():
                 continue
-            header, rows, dropped = _read_wal(path)
-            if rows:
+            cursor = WalCursor(path)
+            while True:
+                header, rows = cursor.read()
+                if not rows:
+                    break
                 append(header, rows)
-                self._bump_wal_count(kind, generation, len(rows))
-            if dropped:
+            self._bump_wal_count(kind, generation, cursor.rows)
+            with path.open("rb") as handle:
+                handle.seek(cursor.offset)
+                tail = handle.read()
+            if tail:
+                # Everything past the verified prefix is a torn or
+                # garbled tail: count its lines as dropped.
                 self.recovery_report[f"{kind}_wal"] = {
                     "generation": generation,
-                    "recovered": len(rows),
-                    "dropped": dropped,
+                    "recovered": cursor.rows,
+                    "dropped": tail.count(b"\n") + (not tail.endswith(b"\n")),
                 }
                 if self._append_log:
-                    self._trim_wal(path, header, rows)
+                    self._trim_wal(path, cursor.offset)
 
-    def _trim_wal(
-        self, path: Path, header: list[str], rows: list[list[str]]
-    ) -> None:
-        """Rewrite a WAL to just its verified rows, so appends after a
-        torn-tail recovery land on a clean row boundary (read-only
-        opens skip this — they do not own the directory)."""
+    def _trim_wal(self, path: Path, size: int) -> None:
+        """Cut a WAL back to its verified prefix of ``size`` bytes, so
+        appends after a torn-tail recovery land on a clean row boundary
+        (read-only opens skip this — they do not own the directory)."""
         tmp = path.with_suffix(".csv.tmp")
-        with tmp.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with path.open("rb") as source, tmp.open("wb") as handle:
+            handle.write(source.read(size))
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(path)

@@ -14,13 +14,16 @@ exactly the crash-safety the format-2 layout already guarantees:
   that names them, a reader that trusts the watermark can never read a
   row that a crash might take back.
 * :class:`ReplicaTailer` owns a read side.  It polls the watermark and
-  tails the WAL files with per-row CRC32 validation via
-  :class:`WalCursor`, applying only rows at or below the committed
-  counts.  A torn or garbled tail is "not yet written": the cursor
-  holds position (bounded retry with backoff, never a crash) until the
-  writer finishes the record or trims the tail on restart.  Applied
-  rows flow through the read index's per-market invalidation, so warm
-  query views for untouched markets stay warm.
+  tails the WAL files with the datastore's own WAL reader,
+  :class:`~repro.core.datastore.WalCursor` (per-row CRC32 validation,
+  the same reader a load replays with), applying only rows at or below
+  the committed counts.  A torn or garbled tail is "not yet written":
+  the cursor holds position (bounded retry with backoff, never a
+  crash) until the writer finishes the record or trims the tail on
+  restart.  Applied rows go through the store's bulk column appenders
+  (``append_*_rows``, as a load's do) and so through the read index's
+  per-market invalidation: warm query views for untouched markets stay
+  warm.
 * WAL **generation rollover** (the recorder's ``save()``) is announced
   in the watermark's ``previous`` block: a lagging tailer drains the
   retired generation's WAL — retained on disk until the *next* save —
@@ -37,32 +40,29 @@ reports ``applied_seq`` vs the recorder's ``committed_seq`` and flips
 ``stale`` past a configurable lag bound, which the serving tier
 surfaces through ``/stats`` and degrades ``/healthz`` on.
 
-Format note: WAL rows never contain embedded newlines (market ids,
-enums, and numbers only), so the tailer may frame rows by ``\\n`` and
-let the CRC column arbitrate torn or garbled lines.
+Format note: a WAL cell may contain a newline (a probe's
+``request_id`` is free text, which ``csv.writer`` quotes across
+lines), so the cursor frames rows with a ``csv.reader`` over complete
+lines and lets the CRC column arbitrate torn or garbled rows.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core.database import parse_price_csv_row
-from repro.core.datastore import SnapshotDatastore, _fsync_path, _row_crc
+from repro.core.database import PRICE_CSV_FIELDS, pick_columns
+from repro.core.datastore import SnapshotDatastore, WalCursor, _fsync_path
+from repro.core.records import OUTCOME_FULFILLED, PROBE_CSV_FIELDS, ProbeKind
 from repro.core.records import PriceRecord, ProbeRecord, ProbeTrigger
 
 WATERMARK_FILE = "watermark.json"
-
-#: Upper bound on bytes a single cursor poll will frame (keeps one
-#: slow poll from buffering an arbitrarily large backlog at once; the
-#: next poll simply continues from the advanced offset).
-_MAX_POLL_BYTES = 4 << 20
 
 
 # -- the committed watermark ------------------------------------------------
@@ -178,107 +178,6 @@ class ChangeFeed:
 
 
 # -- tailing a WAL file ------------------------------------------------------
-class WalCursor:
-    """Incrementally read complete, CRC-verified rows from a live WAL.
-
-    The cursor never trusts anything past the first incomplete or
-    garbled line: on the write side that is a record mid-append or a
-    torn tail the recorder will trim — "not yet written", not an error
-    — so it stops there *without advancing* and reports the rows it
-    could verify.  The file is re-opened on every poll, which makes a
-    writer-side trim (an atomic tmp+replace that changes the inode)
-    transparent: verified rows keep their byte offsets, so the cursor's
-    position stays valid across the swap.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.rows = 0       # verified rows consumed so far
-        self.offset = 0     # byte offset just past the last verified row
-        self.fields: list[str] | None = None
-        self.has_crc = False
-        self.holds = 0      # polls that stopped at an unverifiable tail
-        self.rescans = 0    # realignments after the file shrank
-
-    def read(self, max_rows: int, collect: bool = True) -> list[dict]:
-        """Up to ``max_rows`` verified rows as field dicts (empty when
-        nothing new is durable yet).  ``collect=False`` advances the
-        cursor without materialising rows — used to align past rows a
-        snapshot load already applied."""
-        if max_rows <= 0:
-            return []
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return []
-        if size < self.offset:
-            # The file shrank below a position we already verified — a
-            # rewrite this cursor cannot reconcile row-by-row.  Realign
-            # from the top, skipping the rows already consumed.
-            target = self.rows
-            self.fields = None
-            self.offset = 0
-            self.rows = 0
-            self.rescans += 1
-            if target:
-                self._scan(target, collect=False)
-        return self._scan(max_rows, collect)
-
-    def _scan(self, max_rows: int, collect: bool) -> list[dict]:
-        out: list[dict] = []
-        try:
-            handle = self.path.open("rb")
-        except OSError:
-            return out
-        with handle:
-            if self.fields is None:
-                head = handle.readline()
-                if not head.endswith(b"\n"):
-                    return out  # header itself not fully written yet
-                text = head.decode("utf-8", errors="replace").rstrip("\r\n")
-                header = next(csv.reader([text]), None)
-                if not header:
-                    return out
-                self.has_crc = header[-1:] == ["crc"]
-                self.fields = header[:-1] if self.has_crc else header
-                self.offset = handle.tell()
-            else:
-                handle.seek(self.offset)
-            data = handle.read(_MAX_POLL_BYTES)
-        expected = len(self.fields) + (1 if self.has_crc else 0)
-        taken = 0
-        pos = 0
-        while taken < max_rows:
-            newline = data.find(b"\n", pos)
-            if newline < 0:
-                break  # incomplete trailing line — not yet written
-            text = (
-                data[pos:newline].rstrip(b"\r").decode("utf-8", errors="replace")
-            )
-            row = next(csv.reader([text]), None)
-            ok = row is not None and len(row) == expected
-            if ok and self.has_crc:
-                try:
-                    ok = int(row[-1]) == _row_crc(row[:-1])
-                except ValueError:
-                    ok = False
-            if not ok:
-                # Torn or garbled: CSV framing past this point cannot
-                # be trusted.  Hold position; the writer will finish
-                # the record or trim the tail on its next recovery.
-                self.holds += 1
-                break
-            self.offset += newline + 1 - pos
-            pos = newline + 1
-            self.rows += 1
-            taken += 1
-            if collect:
-                out.append(
-                    dict(zip(self.fields, row[:-1] if self.has_crc else row))
-                )
-        return out
-
-
 def _wal_path(root: Path, kind: str, generation: int) -> Path:
     return root / f"{kind}.wal.{generation}.csv"
 
@@ -287,10 +186,7 @@ def _count_wal_rows(root: Path, kind: str, generation: int) -> int:
     """Verified rows in a (closed) WAL file — the final row count of a
     retired generation, used when resuming after a crash lost the
     watermark that would have recorded it."""
-    cursor = WalCursor(_wal_path(root, kind, generation))
-    while cursor.read(65536, collect=False):
-        pass
-    return cursor.rows
+    return WalCursor(_wal_path(root, kind, generation)).advance(sys.maxsize)
 
 
 # -- the write side ----------------------------------------------------------
@@ -457,10 +353,11 @@ class ReplicaTailer:
     and applies WAL rows *up to the committed counts only* — rows
     beyond the watermark are invisible until the recorder commits, so
     a recorder crash can never make the replica apply something the
-    restart might trim.  Inserts run under :attr:`lock` (share it with
-    the serving tier as its frontend lock) and go through the store's
-    normal insert path, so the read index invalidates only the touched
-    markets and the query cache generation bumps once per batch.
+    restart might trim.  Each drained batch is one call into the
+    store's bulk column appenders (``append_*_rows``, the path a load
+    takes) under :attr:`lock` (share it with the serving tier as its
+    frontend lock), so the read index invalidates only the touched
+    markets and the query cache generation bumps once per step.
 
     Never raises from the tailing loop: torn tails hold position, a
     vanished file is retried, rollover drains the retired WAL, and a
@@ -514,10 +411,9 @@ class ReplicaTailer:
         self._od: dict = {}
         self._avail: dict = {}
         self._above: dict = {}
-        self._cursors = self._fresh_cursors(store.generation)
-        counts = store.wal_row_counts
-        for kind, cursor in self._cursors.items():
-            cursor.read(counts[kind], collect=False)
+        self._cursors = self._fresh_cursors(
+            store.generation, store.wal_row_counts
+        )
         self._seed_baselines()
         self._stop = threading.Event()
         self._paused = threading.Event()
@@ -527,11 +423,15 @@ class ReplicaTailer:
     def generation(self) -> int:
         return self._generation
 
-    def _fresh_cursors(self, generation: int) -> dict[str, WalCursor]:
-        return {
-            kind: WalCursor(_wal_path(self.root, kind, generation))
-            for kind in ("probes", "prices")
-        }
+    def _fresh_cursors(
+        self, generation: int, loaded: dict[str, int] | None = None
+    ) -> dict[str, WalCursor]:
+        """Cursors over ``generation``'s WALs, past the rows ``loaded``."""
+        cursors = {}
+        for kind in ("probes", "prices"):
+            cursors[kind] = WalCursor(_wal_path(self.root, kind, generation))
+            cursors[kind].advance((loaded or {}).get(kind, 0))
+        return cursors
 
     # -- one tailing poll ----------------------------------------------------
     def step(self) -> int:
@@ -562,10 +462,10 @@ class ReplicaTailer:
         for kind, cursor in self._cursors.items():
             need = targets.get(kind, 0) - cursor.rows
             while need > 0:
-                rows = cursor.read(min(need, self.batch_rows))
+                header, rows = cursor.read(min(need, self.batch_rows))
                 if not rows:
                     break  # torn or not-yet-durable tail: hold position
-                self._apply(kind, rows)
+                self._apply(kind, header, rows)
                 applied += len(rows)
                 need -= len(rows)
         return applied
@@ -606,40 +506,43 @@ class ReplicaTailer:
             if self.frontend is not None:
                 self.frontend.invalidate()
         self._generation = fresh.generation
-        self._cursors = self._fresh_cursors(self._generation)
-        counts = fresh.wal_row_counts
-        for kind, cursor in self._cursors.items():
-            cursor.read(counts[kind], collect=False)
+        self._cursors = self._fresh_cursors(
+            self._generation, fresh.wal_row_counts
+        )
         self._seed_baselines()
         self.resyncs += 1
         self.feed.publish({"type": "resync", "generation": self._generation})
 
     # -- applying rows -------------------------------------------------------
-    def _apply(self, kind: str, rows: list[dict]) -> None:
-        records = []
-        for row in rows:
-            try:
-                if kind == "probes":
-                    records.append(ProbeRecord.from_row(row))
-                else:
-                    records.append(parse_price_csv_row(row))
-            except (KeyError, ValueError):
-                # A CRC-verified row that does not parse is a writer
-                # bug; skip it rather than crash the replica.
-                self.apply_errors += 1
-        with self.lock:
-            for record in records:
-                if kind == "probes":
-                    self.store.insert_probe(record)
-                else:
-                    self.store.insert_price(record)
-        for record in records:
-            self._emit(kind, record)
-        self.applied_rows += len(rows)
+    def _apply(self, kind: str, header: list[str], rows: list[list[str]]) -> None:
+        """One bulk append per drained batch.  An appender installs
+        nothing when any row is bad, so a rejected batch is re-applied
+        row by row: a CRC-verified row that does not apply (a writer
+        bug) is counted in ``apply_errors`` and skipped."""
         if kind == "probes":
+            append = self.store.append_probe_rows
+        else:
+            append = self.store.append_price_rows
+        applied = rows
+        with self.lock:
+            try:
+                append(header, rows)
+            except ValueError:
+                applied = []
+                for row in rows:
+                    try:
+                        append(header, [row])
+                    except ValueError:
+                        self.apply_errors += 1
+                    else:
+                        applied.append(row)
+        if kind == "probes":
+            self._emit_probes(header, applied)
             self.applied_probes += len(rows)
         else:
+            self._emit_prices(header, applied)
             self.applied_prices += len(rows)
+        self.applied_rows += len(rows)
 
     def _after_apply(self) -> None:
         if self.frontend is not None:
@@ -678,50 +581,49 @@ class ReplicaTailer:
             self._od[market] = on_demand
         return on_demand > 0 and price >= self.threshold_multiple * on_demand
 
-    def _emit(self, kind: str, record) -> None:
-        if kind == "prices":
-            above = self._is_spike(record.market, record.price)
-            if above != self._above.get(record.market, False):
+    def _emit_prices(self, header: list[str], rows: list[list[str]]) -> None:
+        """Spike transitions of applied price rows, in row order."""
+        market_of = self.store.owned_market
+        pick = pick_columns(header, PRICE_CSV_FIELDS)
+        for time, zone, itype, product, price in map(pick, rows):
+            market = market_of((zone, itype, product))
+            if market is None:
+                continue  # outside this store's shard
+            price = float(price)
+            above = self._is_spike(market, price)
+            if above != self._above.get(market, False):
                 self.feed.publish(
                     {
                         "type": "spike" if above else "spike-cleared",
-                        "market": str(record.market),
-                        "time": record.time,
-                        "price": record.price,
+                        "market": str(market),
+                        "time": float(time),
+                        "price": price,
                     }
                 )
-            self._above[record.market] = above
-            return
-        if record.trigger is ProbeTrigger.REVOCATION:
-            self.feed.publish(
-                {
-                    "type": "revocation",
-                    "market": str(record.market),
-                    "kind": record.kind.value,
-                    "time": record.time,
-                }
-            )
-        key = (record.market, record.kind)
-        seen = self._avail.get(key)
-        if record.rejected and seen is not True:
-            self.feed.publish(
-                {
-                    "type": "unavailable",
-                    "market": str(record.market),
-                    "kind": record.kind.value,
-                    "time": record.time,
-                }
-            )
-        elif not record.rejected and seen is True:
-            self.feed.publish(
-                {
-                    "type": "available",
-                    "market": str(record.market),
-                    "kind": record.kind.value,
-                    "time": record.time,
-                }
-            )
-        self._avail[key] = record.rejected
+            self._above[market] = above
+
+    def _emit_probes(self, header: list[str], rows: list[list[str]]) -> None:
+        """Revocations and per-``(market, kind)`` availability
+        transitions of applied probe rows, in row order."""
+        market_of = self.store.owned_market
+        pick = pick_columns(header, PROBE_CSV_FIELDS)
+        for time, zone, itype, product, kind, trigger, outcome, *_ in map(
+            pick, rows
+        ):
+            market = market_of((zone, itype, product))
+            if market is None:
+                continue  # outside this store's shard
+            event = {"market": str(market), "kind": kind, "time": float(time)}
+            if trigger == ProbeTrigger.REVOCATION.value:
+                self.feed.publish({"type": "revocation", **event})
+            key = (market, ProbeKind(kind))
+            rejected = outcome != OUTCOME_FULFILLED
+            seen = self._avail.get(key)
+            if rejected and seen is not True:
+                self.feed.publish({"type": "unavailable", **event})
+            elif not rejected and seen is True:
+                self.feed.publish({"type": "available", **event})
+            self._avail[key] = rejected
 
     # -- staleness -----------------------------------------------------------
     def lag(self, watermark: dict | None = None) -> int:

@@ -13,11 +13,14 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_datastore import _assert_same_store
 
 from repro.chaos import ChaosHarness, ChaosPlan, FaultEvent
 from repro.client import (
@@ -26,12 +29,15 @@ from repro.client import (
     SpotLightClient,
     ThrottledError,
 )
-from repro.core.datastore import SnapshotDatastore
+from repro.core import datastore
+from repro.core.database import ProbeDatabase
+from repro.core.datastore import SnapshotDatastore, WalCursor
 from repro.core.frontend import QueryFrontend
 from repro.core.market_id import MarketID
 from repro.core.query import SpotLightQuery
 from repro.core.records import (
     OUTCOME_FULFILLED,
+    PROBE_CSV_FIELDS,
     PriceRecord,
     ProbeKind,
     ProbeRecord,
@@ -43,7 +49,6 @@ from repro.replication import (
     Recorder,
     ReplicaTailer,
     TimeShiftedDatastore,
-    WalCursor,
     _wal_path,
     latest_record_time,
     read_watermark,
@@ -146,10 +151,11 @@ class TestWalCursor:
     def test_reads_complete_verified_rows(self, tmp_path):
         store, wal = self._wal_with_rows(tmp_path, [1.0, 2.0, 3.0])
         cursor = WalCursor(wal)
-        rows = cursor.read(10)
-        assert [float(r["time"]) for r in rows] == [1.0, 2.0, 3.0]
+        header, rows = cursor.read(10)
+        assert header == PROBE_CSV_FIELDS  # the crc column stripped
+        assert [float(r[0]) for r in rows] == [1.0, 2.0, 3.0]
         assert cursor.rows == 3
-        assert cursor.read(10) == []  # nothing new
+        assert cursor.read(10) == (header, [])  # nothing new
         store.close()
 
     def test_torn_tail_holds_without_advancing(self, tmp_path):
@@ -157,9 +163,9 @@ class TestWalCursor:
         with open(wal, "ab") as handle:
             handle.write(b"3.0,half-a-row-with-no-newline")
         cursor = WalCursor(wal)
-        assert [float(r["time"]) for r in cursor.read(10)] == [1.0, 2.0]
+        assert [float(r[0]) for r in cursor.read(10)[1]] == [1.0, 2.0]
         held_offset = cursor.offset
-        assert cursor.read(10) == []
+        assert cursor.read(10)[1] == []
         assert cursor.offset == held_offset
         # The writer finishes the record: the cursor picks it up.
         store.insert_probe(_probe(4.0))
@@ -169,16 +175,14 @@ class TestWalCursor:
     def test_garbled_row_is_not_yet_written(self, tmp_path):
         store, wal = self._wal_with_rows(tmp_path, [1.0])
         row = _probe(9.0).to_row()
-        from repro.core.records import PROBE_CSV_FIELDS
-
         cells = [str(row[field]) for field in PROBE_CSV_FIELDS]
         cells.append("deadbeef")  # wrong crc
         with open(wal, "ab") as handle:
             handle.write((",".join(cells) + "\n").encode())
         cursor = WalCursor(wal)
-        assert len(cursor.read(10)) == 1  # stops before the bad crc
+        assert len(cursor.read(10)[1]) == 1  # stops before the bad crc
         assert cursor.holds >= 1  # a complete line it cannot verify
-        assert cursor.read(10) == []
+        assert cursor.read(10)[1] == []
         store.close()
 
     def test_survives_a_writer_side_trim(self, tmp_path):
@@ -190,21 +194,19 @@ class TestWalCursor:
         with open(wal, "ab") as handle:
             handle.write(b"junk-torn-tail")
         cursor = WalCursor(wal)
-        assert len(cursor.read(10)) == 3
+        assert len(cursor.read(10)[1]) == 3
         store.close()
         # Restart trims the junk (append_log=True replays + trims).
         resumed = SnapshotDatastore(root)
         assert resumed.recovery_report["probes_wal"]["dropped"] == 1
-        assert cursor.read(10) == []  # nothing new, nothing repeated
+        assert cursor.read(10)[1] == []  # nothing new, nothing repeated
         resumed.insert_probe(_probe(4.0))
         resumed.flush()
-        assert [float(r["time"]) for r in cursor.read(10)] == [4.0]
+        assert [float(r[0]) for r in cursor.read(10)[1]] == [4.0]
         resumed.close()
 
     def test_legacy_wal_without_crc_column(self, tmp_path):
         import csv
-
-        from repro.core.records import PROBE_CSV_FIELDS
 
         wal = tmp_path / "probes.wal.1.csv"
         with wal.open("w", newline="") as handle:
@@ -214,9 +216,45 @@ class TestWalCursor:
                 row = _probe(t).to_row()
                 writer.writerow([row[field] for field in PROBE_CSV_FIELDS])
         cursor = WalCursor(wal)
-        rows = cursor.read(10)
-        assert [float(r["time"]) for r in rows] == [1.0, 2.0]
+        header, rows = cursor.read(10)
+        assert header == PROBE_CSV_FIELDS
+        assert [float(r[0]) for r in rows] == [1.0, 2.0]
         assert not cursor.has_crc
+
+    def test_a_wal_longer_than_a_poll_loads_and_tails_completely(
+        self, tmp_path, monkeypatch
+    ):
+        """With a poll window of a few hundred bytes, a load replays a
+        WAL of many windows in full, and a tailer drains it across
+        polls: windows that end inside a multi-line row, and a row
+        longer than a whole window, are read, not held at."""
+        monkeypatch.setattr(datastore, "_MAX_POLL_BYTES", 300)
+        root = tmp_path / "state"
+        writer, recorder, tailer = _pair(root)
+        ids = [f"r-{t}\nline-2" for t in range(30)]
+        ids[17] = "long-" + "x" * 1000
+        for t, request_id in enumerate(ids):
+            writer.insert_probe(replace(_probe(float(t)), request_id=request_id))
+            writer.insert_price(PriceRecord(float(t), M2, 0.01 * t))
+        recorder.commit()
+        wal = _wal_path(root, "probes", writer.generation)
+        assert wal.stat().st_size > 10 * 300
+        reads = []
+        cursor_read = WalCursor.read
+        monkeypatch.setattr(
+            WalCursor, "read",
+            lambda self, *a: reads.append(1) or cursor_read(self, *a),
+        )
+        assert tailer.step() == 60
+        assert len(reads) > 20
+        assert [p.request_id for p in tailer.store.probes(M1)] == ids
+        stats = tailer.stats()
+        assert stats["tail_holds"] == stats["apply_errors"] == 0
+        fresh = SnapshotDatastore(root, append_log=False, must_exist=True)
+        assert fresh.recovery_report == {}
+        assert fresh.wal_row_counts == {"probes": 30, "prices": 30}
+        _assert_same_store(tailer.store, fresh)
+        writer.close()
 
 
 # -- the recorder ------------------------------------------------------------
@@ -618,6 +656,272 @@ class TestReplicaModeLoading:
             1.0, 2.0, 3.0, 4.0,
         ]
         resumed_store.close()
+
+
+# -- one reader, one append path -----------------------------------------------
+def _canonical(db) -> ProbeDatabase:
+    """``db``'s records re-inserted market by market, in sorted order:
+    the same columns, with market order and outcome codes made
+    independent of arrival order (a replica that rolled over keeps
+    first-seen order, a fresh load the snapshot's)."""
+    out = ProbeDatabase()
+    for market in db.markets:
+        for record in db.probes(market):
+            out.insert_probe(record)
+        for record in db.prices(market):
+            out.insert_price(record)
+    return out
+
+
+class _FeedOracle:
+    """The change feed, computed plainly from the committed records in
+    the order a tailer applies them: per step, each generation's
+    probes, then its prices."""
+
+    def __init__(self, catalog, baseline_probes, baseline_prices) -> None:
+        self.catalog = catalog
+        self.events: list[dict] = []
+        self.avail = {}
+        self.above = {}
+        for record in baseline_probes:
+            self.avail[(record.market, record.kind)] = record.rejected
+        for record in baseline_prices:
+            self.above[record.market] = self.spike(record)
+        self.pending: dict[int, dict[str, list]] = {}
+
+    def spike(self, record: PriceRecord) -> bool:
+        market = record.market
+        on_demand = self.catalog.on_demand_price(
+            market.instance_type, market.region, market.product
+        )
+        return on_demand > 0 and record.price >= on_demand
+
+    def committed(self, generation: int, records: list) -> None:
+        batch = self.pending.setdefault(
+            generation, {"probes": [], "prices": []}
+        )
+        for record in records:
+            kind = "probes" if isinstance(record, ProbeRecord) else "prices"
+            batch[kind].append(record)
+
+    def publish(self, event: dict) -> None:
+        self.events.append({**event, "seq": len(self.events) + 1})
+
+    def step(self) -> None:
+        for generation in sorted(self.pending):
+            batch = self.pending[generation]
+            for record in batch["probes"]:
+                self.probe(record)
+            for record in batch["prices"]:
+                self.price(record)
+        self.pending.clear()
+
+    def probe(self, record: ProbeRecord) -> None:
+        event = {
+            "market": str(record.market),
+            "kind": record.kind.value,
+            "time": record.time,
+        }
+        if record.trigger is ProbeTrigger.REVOCATION:
+            self.publish({"type": "revocation", **event})
+        key = (record.market, record.kind)
+        if record.rejected and self.avail.get(key) is not True:
+            self.publish({"type": "unavailable", **event})
+        if not record.rejected and self.avail.get(key) is True:
+            self.publish({"type": "available", **event})
+        self.avail[key] = record.rejected
+
+    def price(self, record: PriceRecord) -> None:
+        above = self.spike(record)
+        if above != self.above.get(record.market, False):
+            self.publish({
+                "type": "spike" if above else "spike-cleared",
+                "market": str(record.market),
+                "time": record.time,
+                "price": record.price,
+            })
+        self.above[record.market] = above
+
+
+_RECORD_OPS = st.one_of(
+    st.tuples(
+        st.just("probe"),
+        st.integers(0, len(SEED_MARKETS) - 1),
+        st.sampled_from([0.0, 1.0, 60.0]),
+        st.sampled_from(list(ProbeKind)),
+        st.sampled_from(list(ProbeTrigger)),
+        st.sampled_from([OUTCOME_FULFILLED, REJ]),
+    ),
+    st.tuples(
+        st.just("price"),
+        st.integers(0, len(SEED_MARKETS) - 1),
+        st.sampled_from([0.0, 1.0, 60.0]),
+        st.sampled_from([0.2, 0.9, 1.0, 2.5]),  # x on-demand
+    ),
+)
+# Mostly records, so that commits and steps cover runs of several.
+_HISTORY_OPS = st.one_of(
+    _RECORD_OPS,
+    _RECORD_OPS,
+    _RECORD_OPS,
+    st.sampled_from([("commit",), ("save",), ("step",)]),
+)
+
+
+class TestOneAppendPath:
+    """The replica reads the WAL with the load's reader and applies it
+    through the load's column appenders."""
+
+    def test_quoted_newlines_in_a_cell_do_not_wedge_the_replica(
+        self, tmp_path
+    ):
+        root = tmp_path / "state"
+        writer, recorder, tailer = _pair(root)
+        ids = ["a\nb", "x\r\ny"]
+        for t, request_id in zip((1.0, 2.0), ids):
+            writer.insert_probe(replace(_probe(t), request_id=request_id))
+        recorder.commit()
+        assert tailer.step() == 2
+        stats = tailer.stats()
+        assert stats["tail_holds"] == 0
+        assert stats["lag"] == 0 and not stats["stale"]
+        assert [p.request_id for p in tailer.store.probes(M1)] == ids
+        _assert_same_store(
+            tailer.store,
+            SnapshotDatastore(root, append_log=False, must_exist=True),
+        )
+        writer.close()
+
+    def test_rows_that_do_not_apply_are_counted_and_skipped(self, tmp_path):
+        root = tmp_path / "state"
+        writer, recorder, tailer = _pair(root)
+
+        def bad_row(record: ProbeRecord, **cells) -> None:
+            # A well-formed, CRC-verified row the appender rejects.
+            row = {**record.to_row(), **cells}
+            writer._probe_wal.append([row[f] for f in PROBE_CSV_FIELDS])
+            writer._bump_wal_count("probes")
+
+        writer.insert_probe(_probe(1.0, outcome=REJ))
+        bad_row(_probe(1.5), kind="no-such-kind")
+        writer.insert_probe(_probe(2.0))
+        bad_row(_probe(2.5, trigger=ProbeTrigger.REVOCATION), time="x")
+        writer.insert_probe(
+            _probe(3.0, outcome=REJ, trigger=ProbeTrigger.REVOCATION)
+        )
+        recorder.commit()
+        assert tailer.step() == 5
+        assert tailer.apply_errors == 2
+        assert tailer.loop_errors == 0
+        assert [p.time for p in tailer.store.probes(M1)] == [1.0, 2.0, 3.0]
+        events, _ = tailer.feed.since(0)
+        assert [(e["type"], e["time"]) for e in events] == [
+            ("unavailable", 1.0),
+            ("available", 2.0),
+            ("revocation", 3.0),
+            ("unavailable", 3.0),
+        ]
+        assert tailer.health()["caught_up"]
+        writer.close()
+
+    @given(
+        prefix=st.lists(_RECORD_OPS, max_size=12),
+        prefix_saved=st.booleans(),
+        ops=st.lists(_HISTORY_OPS, min_size=10, max_size=60),
+        batch_rows=st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replica_equals_a_fresh_load_and_the_feed_oracle(
+        self, prefix, prefix_saved, ops, batch_rows
+    ):
+        catalog = default_catalog()
+        clock = dict.fromkeys(SEED_MARKETS, 0.0)
+
+        def record(op):
+            what, index, gap, *rest = op
+            market = SEED_MARKETS[index]
+            clock[market] += gap
+            if what == "probe":
+                kind, trigger, outcome = rest
+                return _probe(clock[market], market, outcome, trigger, kind)
+            od = catalog.on_demand_price(
+                market.instance_type, market.region, market.product
+            )
+            return PriceRecord(clock[market], market, od * rest[0])
+
+        def write(record) -> None:
+            if isinstance(record, ProbeRecord):
+                writer.insert_probe(record)
+            else:
+                writer.insert_price(record)
+
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "state"
+            writer = SnapshotDatastore(root)
+            recorder = Recorder(writer)
+            recorder.bootstrap()
+            seeded = [record(op) for op in prefix]
+            for rec in seeded:
+                write(rec)
+            if prefix_saved:
+                recorder.save()
+            else:
+                recorder.commit()
+            tailer = ReplicaTailer(
+                SnapshotDatastore(root, append_log=False, must_exist=True),
+                catalog=catalog,
+                batch_rows=batch_rows,
+            )
+            oracle = _FeedOracle(
+                catalog,
+                [r for r in seeded if isinstance(r, ProbeRecord)],
+                [r for r in seeded if isinstance(r, PriceRecord)],
+            )
+            uncommitted: list = []
+            rolled = saved = False
+
+            def step() -> None:
+                nonlocal rolled
+                tailer.step()
+                oracle.step()
+                rolled = False
+
+            for op in ops:
+                if op == ("commit",):
+                    recorder.commit()
+                    oracle.committed(writer.generation, uncommitted)
+                    uncommitted = []
+                elif op == ("save",):
+                    if rolled:
+                        step()  # two rollovers unseen would force a resync
+                    retired = writer.generation
+                    recorder.save()
+                    oracle.committed(retired, uncommitted)
+                    uncommitted = []
+                    rolled = saved = True
+                elif op == ("step",):
+                    step()
+                else:
+                    rec = record(op)
+                    write(rec)
+                    uncommitted.append(rec)
+            recorder.commit()
+            oracle.committed(writer.generation, uncommitted)
+            step()
+
+            stats = tailer.stats()
+            assert stats["lag"] == 0
+            assert stats["resyncs"] == 0
+            assert stats["tail_holds"] == stats["apply_errors"] == 0
+            assert stats["loop_errors"] == 0
+            fresh = SnapshotDatastore(root, append_log=False, must_exist=True)
+            _assert_same_store(_canonical(tailer.store), _canonical(fresh))
+            if not saved:
+                _assert_same_store(tailer.store, fresh)
+            events, gap = tailer.feed.since(0, limit=1 << 20)
+            assert not gap
+            assert events == oracle.events
+            writer.close()
 
 
 # -- satellite: Retry-After honored within the deadline budget ---------------
